@@ -5,25 +5,22 @@ from .agent import (PolicyParams, Trajectory, build_state, compute_reward, polic
 from .clustering import RelationClusters, kmeans
 from .config import TrainConfig, parse_config
 from .errors import DataError, KgeDenoiseError, NumericError, UsageError
-from .evaluation import (EvalReport, link_prediction, noise_detection_f1,
-                         triple_classification)
-from .graph import KnowledgeGraph, LabeledTriple, Triple, load_graph, triples_of_relation
+from .evaluation import link_prediction, noise_detection_f1, triple_classification
+from .graph import KnowledgeGraph, Triple, load_graph
 from .models import (AdamConfig, DistMult, EmbeddingStore, RotatE, TransE, adam_step,
-                     init_embeddings, loss_and_grad, sample_negative, score, score_batch)
+                     init_embeddings, loss_and_grad, score, score_batch)
 from .noise import inject_noise, make_classification_negatives
 from .trainer import joint_train, pretrain_agents, pretrain_kge, xscore_baseline
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdamConfig", "DataError", "DistMult", "EmbeddingStore", "EvalReport",
-    "KgeDenoiseError", "KnowledgeGraph", "LabeledTriple", "NumericError",
-    "PolicyParams", "RelationClusters", "RotatE", "TrainConfig", "Trajectory",
-    "TransE", "Triple", "UsageError", "adam_step", "build_state", "compute_reward",
-    "init_embeddings", "inject_noise", "joint_train", "kmeans", "link_prediction",
-    "load_graph", "loss_and_grad", "make_classification_negatives",
-    "noise_detection_f1", "parse_config", "policy_prob", "pretrain_agents",
-    "pretrain_kge", "reinforce_update", "sample_negative", "sample_trajectory",
-    "score", "score_batch", "triple_classification", "triples_of_relation",
-    "xscore_baseline",
+    "AdamConfig", "DataError", "DistMult", "EmbeddingStore", "KgeDenoiseError",
+    "KnowledgeGraph", "NumericError", "PolicyParams", "RelationClusters", "RotatE",
+    "TrainConfig", "Trajectory", "TransE", "Triple", "UsageError", "adam_step",
+    "build_state", "compute_reward", "init_embeddings", "inject_noise", "joint_train",
+    "kmeans", "link_prediction", "load_graph", "loss_and_grad",
+    "make_classification_negatives", "noise_detection_f1", "parse_config", "policy_prob",
+    "pretrain_agents", "pretrain_kge", "reinforce_update", "sample_trajectory", "score",
+    "score_batch", "triple_classification", "xscore_baseline",
 ]

@@ -21,6 +21,9 @@ Policy checkpoint layout (little-endian):
     magic b"KGDP" | version u32 | mode u8 (0=strl, 1=mtrl)
     n_clusters u64 | n_relations u64 | state_dim u64
     u matrix, v matrix as raw <f8
+
+The loader checks the mode code and the declared matrix bytes before it
+reads any matrix.
 """
 
 from __future__ import annotations
@@ -33,7 +36,8 @@ from scipy.special import expit, log_expit
 
 from .clustering import RelationClusters
 from .errors import DataError, NumericError
-from .models import EmbeddingStore, ModelKind, relation_features, score_batch
+from .models import (EmbeddingStore, ModelKind, read_matrices, relation_features,
+                     score_batch)
 
 MODES = ("strl", "mtrl")
 
@@ -227,13 +231,12 @@ def reinforce_update(params: PolicyParams, clusters: RelationClusters | None,
     if not np.isfinite(grad_w).all():
         raise NumericError(f"non-finite policy gradient for relation {r}")
 
-    params.v[r] += learning_rate * (grad_w - 2.0 * lambda2 * params.v[r])
+    c = int(clusters.assignment[r]) if params.mode == "mtrl" else 0
+    _, grad_u, grad_v = regularizer_and_grad(params, c, r, lambda1, lambda2)
+    params.v[r] += learning_rate * (grad_w - grad_v)
     if params.mode == "mtrl":
-        if clusters is None:
-            raise DataError("multi-task updates require relation clusters")
-        c = int(clusters.assignment[r])
         if clusters.size(c) >= 2:
-            params.u[c] += learning_rate * (grad_w - 2.0 * lambda1 * params.u[c])
+            params.u[c] += learning_rate * (grad_w - grad_u)
         if not np.isfinite(params.u[c]).all():
             raise NumericError(f"non-finite shared weight for cluster {c}")
     if not np.isfinite(params.v[r]).all():
@@ -267,13 +270,7 @@ def load_policy(path) -> PolicyParams:
             raise DataError(f"{path}: not a policy checkpoint (bad magic)")
         if version != _VERSION:
             raise DataError(f"{path}: unsupported policy version {version}")
-
-        def read_matrix(rows, cols):
-            data = handle.read(rows * cols * 8)
-            if len(data) != rows * cols * 8:
-                raise DataError(f"{path}: truncated policy body")
-            return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
-
-        u = read_matrix(n_clusters, state_dim)
-        v = read_matrix(n_relations, state_dim)
+        if mode_code >= len(MODES):
+            raise DataError(f"{path}: unknown policy mode code {mode_code}")
+        u, v = read_matrices(handle, path, [(n_clusters, state_dim), (n_relations, state_dim)])
     return PolicyParams(MODES[mode_code], u, v)

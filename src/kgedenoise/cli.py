@@ -20,7 +20,7 @@ from . import clustering, experiments, noise, trainer
 from .config import TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
-from .graph import load_graph, write_triples
+from .graph import load_flags, load_graph, write_flags, write_triples
 from .models import load_store, save_store, score_batch
 from .noise import make_classification_negatives
 from .seeding import seed_for
@@ -61,8 +61,7 @@ def cmd_inject_noise(args) -> int:
     write_triples(os.path.join(args.out_dir, "train.txt"), noisy, noisy.train)
     write_triples(os.path.join(args.out_dir, "valid.txt"), noisy, noisy.valid)
     write_triples(os.path.join(args.out_dir, "test.txt"), noisy, noisy.test)
-    noise.write_noise_labels(os.path.join(args.out_dir, "noise_labels.tsv"),
-                             noisy.train_labels)
+    write_flags(os.path.join(args.out_dir, "noise_labels.tsv"), noisy.train_labels)
     print(f"wrote noisy split with {int(noisy.train_labels.sum())} injected triples "
           f"to {args.out_dir}")
     return 0
@@ -118,7 +117,7 @@ def cmd_train(args) -> int:
         agent_mod.save_policy(os.path.join(args.out, "policy.ckpt"), result.params)
 
     save_store(os.path.join(args.out, "model.ckpt"), store)
-    trainer.write_selection_mask(os.path.join(args.out, "selection_mask.tsv"), mask)
+    write_flags(os.path.join(args.out, "selection_mask.tsv"), mask)
     trainer.write_training_curve(os.path.join(args.out, "training_curve.csv"), losses)
     print(f"trained {config.model} ({config.mode}); kept {int(mask.sum())}/{len(mask)} "
           f"triples; outputs in {args.out}")
@@ -141,9 +140,9 @@ def cmd_evaluate(args) -> int:
     }
 
     if args.labels:
-        labels = noise.load_noise_labels(args.labels, expected=len(graph.train))
+        labels = load_flags(args.labels, len(graph.train))
         if args.mask:
-            mask = trainer.load_selection_mask(args.mask, expected=len(graph.train))
+            mask = load_flags(args.mask, len(graph.train))
             report["noise_f1"] = noise_detection_f1(mask, labels)
         report["noise_f1_score_sweep"] = noise_detection_f1(
             score_batch(kind, store, graph.train), labels)

@@ -13,7 +13,13 @@ from dataclasses import dataclass, fields
 
 from .errors import DataError
 
-_PRETRAIN_EPOCH_CAP = 100
+# Smallest accepted value per field: a count of 0 turns its stage (or the
+# relation cap) off, and an agent learning rate of 0 freezes the agents.
+_MINIMUM = {"dim": 1, "batch_size": 1, "k_negatives": 1, "clusters_k": 1,
+            "pretrain_epochs": 0, "episodes": 0, "agent_warmup_episodes": 0,
+            "joint_kge_epochs": 0, "agent_mimic_steps": 0, "relation_cap": 0,
+            "agent_learning_rate": 0.0}
+_EMBEDDING_LEARNING_RATES = ("learning_rate", "joint_learning_rate")
 
 
 @dataclass
@@ -56,8 +62,16 @@ class TrainConfig:
             raise DataError(f"unknown model {self.model!r}")
         if self.mode not in ("plain", "strl", "mtrl", "xscore"):
             raise DataError(f"unknown mode {self.mode!r}")
+        if self.norm not in ("l1", "l2"):
+            raise DataError(f"norm must be l1 or l2, got {self.norm!r}")
         if not 0.0 <= self.delta <= 1.0:
             raise DataError("delta must lie in [0, 1]")
+        for name, minimum in _MINIMUM.items():
+            if getattr(self, name) < minimum:
+                raise DataError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+        for name in _EMBEDDING_LEARNING_RATES:
+            if not getattr(self, name) > 0.0:
+                raise DataError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def replace(self, **overrides) -> "TrainConfig":
         values = {f.name: getattr(self, f.name) for f in fields(self)}

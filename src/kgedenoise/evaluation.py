@@ -204,30 +204,3 @@ def triple_classification(kind: ModelKind, store: EmbeddingStore,
         global_threshold=global_threshold,
         per_relation=per_relation,
     )
-
-
-# -- aggregate report ---------------------------------------------------------------
-
-
-@dataclass
-class EvalReport:
-    mrr: float
-    hits: dict[int, float]
-    noise_f1: float | None
-    classification_accuracy: float | None
-    per_relation: dict[int, dict[str, float]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        metrics = [self.mrr, *self.hits.values()]
-        metrics += [m for m in (self.noise_f1, self.classification_accuracy) if m is not None]
-        if any(not 0.0 <= m <= 1.0 for m in metrics):
-            raise DataError("evaluation metrics must lie in [0, 1]")
-
-    def to_dict(self) -> dict:
-        return {
-            "mrr": self.mrr,
-            "hits": {str(n): v for n, v in sorted(self.hits.items())},
-            "noise_f1": self.noise_f1,
-            "classification_accuracy": self.classification_accuracy,
-            "per_relation": {str(r): v for r, v in sorted(self.per_relation.items())},
-        }

@@ -5,7 +5,8 @@ per line. Vocabulary ids are assigned by first appearance while reading
 train, then valid, then test, which makes loading fully deterministic.
 Ground-truth noise flags for the training split live in a side array
 (``train_labels``) that no training code reads; only the evaluation layer
-may consult it.
+may consult it. Noise labels and selection masks are stored as flag
+sidecars, one ``0``/``1`` per train line, with one writer and one reader.
 """
 
 from __future__ import annotations
@@ -27,11 +28,6 @@ class Triple(NamedTuple):
     head: int
     relation: int
     tail: int
-
-
-class LabeledTriple(NamedTuple):
-    triple: Triple
-    is_noise: bool
 
 
 class Vocabulary:
@@ -191,16 +187,6 @@ class KnowledgeGraph:
             raise DataError(f"relation id {relation} out of range")
         return self._rel_positions[relation]
 
-    def triples_of_relation(self, relation: int) -> list[LabeledTriple]:
-        """Train triples of ``relation`` in stored order, with noise flags."""
-        pos = self.relation_positions(relation)
-        rows = self.train[pos]
-        flags = self.train_labels[pos]
-        return [
-            LabeledTriple(Triple(int(h), int(r), int(t)), bool(f))
-            for (h, r, t), f in zip(rows, flags)
-        ]
-
     def with_train(self, train: np.ndarray, train_labels: np.ndarray) -> "KnowledgeGraph":
         """New graph sharing vocabularies and eval splits, replacing train."""
         return KnowledgeGraph(
@@ -212,10 +198,6 @@ class KnowledgeGraph:
             train_labels=train_labels,
             load_report=self.load_report,
         )
-
-
-def triples_of_relation(graph: KnowledgeGraph, relation: int) -> list[LabeledTriple]:
-    return graph.triples_of_relation(relation)
 
 
 def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Vocabulary,
@@ -294,3 +276,27 @@ def write_triples(path, graph: KnowledgeGraph, triples: np.ndarray) -> None:
     with open(path, "w", encoding="utf-8") as handle:
         for h, r, t in triples:
             handle.write(f"{ent.name_of(h)}\t{rel.name_of(r)}\t{ent.name_of(t)}\n")
+
+
+def write_flags(path, flags: np.ndarray) -> None:
+    """Flag sidecar: one 0/1 per train line (noise labels, selection masks)."""
+    with open(path, "w", encoding="utf-8") as handle:
+        for flag in flags:
+            handle.write(f"{int(flag)}\n")
+
+
+def load_flags(path, expected: int) -> np.ndarray:
+    """Read a flag sidecar that must hold ``expected`` (the train size) entries."""
+    values = []
+    with open(path, encoding="utf-8") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            text = line.strip()
+            if not text:
+                continue
+            if text not in ("0", "1"):
+                raise DataError(f"{path}:{lineno}: entries must be 0 or 1")
+            values.append(text == "1")
+    flags = np.asarray(values, dtype=bool)
+    if len(flags) != expected:
+        raise DataError(f"{path}: {len(flags)} entries for {expected} training triples")
+    return flags

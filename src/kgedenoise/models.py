@@ -11,7 +11,8 @@ Three score functions are supported:
 Losses: margin hinge with one uniform negative per positive (TransE),
 softplus over +-1 labeled triples plus an L2 term on touched rows
 (DistMult), and a sigmoid margin loss with k uniform negatives per
-positive (RotatE). Gradients are returned sparsely, only for rows that a
+positive (RotatE). Every loss draws its negatives through
+``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
 
 Checkpoint layout (all little-endian, documented here and in README):
@@ -24,10 +25,14 @@ Checkpoint layout (all little-endian, documented here and in README):
     param_k u32      negatives per positive (0 for TransE)
     n_ent   u64 | n_rel u64 | dim u64 | step_ent u64 | step_rel u64
     entities, relations, m_ent, v_ent, m_rel, v_rel  raw <f8 matrices
+
+``load_store`` refuses a file whose remaining size differs from the
+matrix bytes its header declares, before it reads or allocates any matrix.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass
 from typing import Union
@@ -36,7 +41,7 @@ import numpy as np
 from scipy.special import expit
 
 from .errors import DataError, NumericError
-from .graph import KnowledgeGraph, Triple
+from .graph import KnowledgeGraph
 
 
 @dataclass(frozen=True)
@@ -64,10 +69,6 @@ class RotatE:
 ModelKind = Union[TransE, DistMult, RotatE]
 
 _KIND_CODES = {TransE: 0, DistMult: 1, RotatE: 2}
-
-
-def kind_name(kind: ModelKind) -> str:
-    return {TransE: "transe", DistMult: "distmult", RotatE: "rotate"}[type(kind)]
 
 
 def entity_width(kind: ModelKind, dim: int) -> int:
@@ -245,32 +246,14 @@ def relation_features(kind: ModelKind, store: EmbeddingStore, relations: np.ndar
 _MAX_RESAMPLES = 10
 
 
-def sample_negative(graph: KnowledgeGraph, triple, rng: np.random.Generator) -> Triple:
-    """Corrupt head or tail (fair coin) with a uniform entity.
-
-    Redraws up to 10 times while the corruption is a known positive, then
-    returns the last draw regardless.
-    """
-    head, relation, tail = int(triple[0]), int(triple[1]), int(triple[2])
-    replace_head = rng.random() < 0.5
-    candidate = int(rng.integers(graph.n_entities))
-    for _ in range(_MAX_RESAMPLES):
-        h = candidate if replace_head else head
-        t = tail if replace_head else candidate
-        if not graph.is_positive(h, relation, t):
-            break
-        candidate = int(rng.integers(graph.n_entities))
-    if replace_head:
-        return Triple(candidate, relation, tail)
-    return Triple(head, relation, candidate)
-
-
 def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Generator,
                   count: int = 1) -> np.ndarray:
-    """Vectorized corruption: ``count`` negatives per positive, row-major.
+    """``count`` negatives per positive, row-major.
 
-    Applies the same fair-coin / 10-redraw policy as ``sample_negative``
-    but draws the first attempt for the whole batch at once.
+    Each negative replaces the head or the tail (fair coin) with a uniform
+    entity. A corruption that is a known positive is redrawn up to 10
+    times, and the last draw is returned regardless. The first draw is
+    made for the whole batch at once, redraws row by row.
     """
     rep = np.repeat(np.asarray(triples, dtype=np.int64).reshape(-1, 3), count, axis=0)
     n = len(rep)
@@ -384,26 +367,23 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
     eta = kind.margin
     negatives = corrupt_batch(graph, positives, rng, k)
 
-    def terms(tr, dldf):
-        """Chain df/dscore into entity-row and phase gradients."""
+    def terms(tr, dldf_of):
+        """Scores of a triple block, chained into entity-row and phase gradients."""
         h, r, t = tr[:, 0], tr[:, 1], tr[:, 2]
         a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(store, h, r, t)
+        f = -modulus.sum(axis=1)
+        dldf = dldf_of(f)
         safe = np.where(modulus > 0.0, modulus, 1.0)
         da = np.where(modulus > 0.0, -a / safe, 0.0) * dldf[:, None]
         db = np.where(modulus > 0.0, -b / safe, 0.0) * dldf[:, None]
         gh = np.concatenate([da * cos + db * sin, -da * sin + db * cos], axis=1)
         gt = np.concatenate([-da, -db], axis=1)
         gr = da * -(b + t_im) + db * (a + t_re)
-        return h, t, r, gh, gt, gr
+        return f, h, t, r, gh, gt, gr
 
-    f_pos = score_batch(kind, store, positives)
-    f_neg = score_batch(kind, store, negatives)
+    f_pos, hp, tp, rp, ghp, gtp, grp = terms(positives, lambda f: -expit(-(eta + f)))
+    f_neg, hn, tn, rn, ghn, gtn, grn = terms(negatives, lambda f: expit(eta + f) / k)
     loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
-    dldf_pos = -expit(-(eta + f_pos))
-    dldf_neg = expit(eta + f_neg) / k
-
-    hp, tp, rp, ghp, gtp, grp = terms(positives, dldf_pos)
-    hn, tn, rn, ghn, gtn, grn = terms(negatives, dldf_neg)
     ent_rows = np.concatenate([hp, tp, hn, tn])
     ent_contrib = np.concatenate([ghp, gtp, ghn, gtn])
     rel_rows = np.concatenate([rp, rn])
@@ -500,6 +480,23 @@ def save_store(path, store: EmbeddingStore) -> None:
             handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
+def read_matrices(handle, path, shapes) -> list[np.ndarray]:
+    """Read raw <f8 matrices of the given shapes that fill the rest of ``handle``.
+
+    The declared size is checked against the bytes left in the file before
+    anything is read, so a forged header cannot demand a huge allocation.
+    """
+    declared = 8 * sum(rows * cols for rows, cols in shapes)
+    left = os.fstat(handle.fileno()).st_size - handle.tell()
+    if declared != left:
+        raise DataError(f"{path}: header declares {declared} matrix bytes but {left} follow")
+    matrices = []
+    for rows, cols in shapes:
+        data = handle.read(rows * cols * 8)
+        matrices.append(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols))
+    return matrices
+
+
 def load_store(path) -> EmbeddingStore:
     with open(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
@@ -512,19 +509,12 @@ def load_store(path) -> EmbeddingStore:
         if version != _VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
         kind = _kind_from_fields(code, norm, param_a, param_k)
-        ew = entity_width(kind, dim)
-
-        def read_matrix(rows, cols):
-            data = handle.read(rows * cols * 8)
-            if len(data) != rows * cols * 8:
-                raise DataError(f"{path}: truncated checkpoint body")
-            return np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
-
-        store = EmbeddingStore(kind, dim, read_matrix(n_ent, ew), read_matrix(n_rel, dim))
-        store.m_ent = read_matrix(n_ent, ew)
-        store.v_ent = read_matrix(n_ent, ew)
-        store.m_rel = read_matrix(n_rel, dim)
-        store.v_rel = read_matrix(n_rel, dim)
-        store.step_ent = step_e
-        store.step_rel = step_r
+        ent_shape = (n_ent, entity_width(kind, dim))
+        rel_shape = (n_rel, dim)
+        entities, relations, m_ent, v_ent, m_rel, v_rel = read_matrices(
+            handle, path, [ent_shape, rel_shape, ent_shape, ent_shape, rel_shape, rel_shape])
+    store = EmbeddingStore(kind, dim, entities, relations)
+    store.m_ent, store.v_ent, store.m_rel, store.v_rel = m_ent, v_ent, m_rel, v_rel
+    store.step_ent = step_e
+    store.step_rel = step_r
     return store

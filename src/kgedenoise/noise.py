@@ -145,28 +145,3 @@ def make_classification_negatives(graph: KnowledgeGraph, seed: int):
     valid_triples, valid_labels = build(graph.valid)
     test_triples, test_labels = build(graph.test)
     return valid_triples, valid_labels, test_triples, test_labels
-
-
-def write_noise_labels(path, labels: np.ndarray) -> None:
-    """Sidecar file: one 0/1 per train line, 1 marking injected noise."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for flag in labels:
-            handle.write(f"{int(flag)}\n")
-
-
-def load_noise_labels(path, expected: int | None = None) -> np.ndarray:
-    values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: labels must be 0 or 1")
-            values.append(text == "1")
-    labels = np.asarray(values, dtype=bool)
-    if expected is not None and len(labels) != expected:
-        raise DataError(
-            f"{path}: {len(labels)} labels for {expected} training triples"
-        )
-    return labels

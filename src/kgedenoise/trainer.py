@@ -370,26 +370,3 @@ def write_training_curve(path, losses: list[float]) -> None:
         handle.write("epoch,loss\n")
         for epoch, loss in enumerate(losses):
             handle.write(f"{epoch},{loss!r}\n")
-
-
-def write_selection_mask(path, mask: np.ndarray) -> None:
-    """One 0/1 per train line; 1 = kept by the final selection."""
-    with open(path, "w", encoding="utf-8") as handle:
-        for kept in mask:
-            handle.write(f"{int(kept)}\n")
-
-
-def load_selection_mask(path, expected: int | None = None) -> np.ndarray:
-    values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: mask entries must be 0 or 1")
-            values.append(text == "1")
-    mask = np.asarray(values, dtype=bool)
-    if expected is not None and len(mask) != expected:
-        raise DataError(f"{path}: {len(mask)} mask entries for {expected} triples")
-    return mask

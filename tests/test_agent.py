@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -325,3 +327,18 @@ def test_policy_checkpoint_round_trip(tmp_path):
     assert loaded.mode == "mtrl"
     assert np.array_equal(loaded.u, params.u)
     assert np.array_equal(loaded.v, params.v)
+
+
+# policy.ckpt header: magic 4s, version u32, mode u8 at byte 8, n_clusters u64 at byte 9
+@pytest.mark.parametrize("offset, fmt, value, message", [
+    (8, "<B", 5, "mode code 5"),
+    (9, "<Q", 2 ** 40, "matrix bytes"),
+], ids=["unknown-mode", "huge-cluster-count"])
+def test_policy_checkpoint_rejects_forged_header(tmp_path, offset, fmt, value, message):
+    path = tmp_path / "policy.ckpt"
+    save_policy(path, PolicyParams.zeros("strl", 1, 3, 10))
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=message):
+        load_policy(path)

@@ -164,6 +164,36 @@ def test_missing_data_exits_two(tmp_path):
                 "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("key, value", [
+    ("batch_size", 0), ("dim", 0), ("k_negatives", 0), ("clusters_k", 0),
+    ("pretrain_epochs", -1), ("episodes", -1), ("agent_warmup_episodes", -1),
+    ("joint_kge_epochs", -1), ("agent_mimic_steps", -1), ("relation_cap", -1),
+    ("learning_rate", 0.0), ("joint_learning_rate", -0.001), ("agent_learning_rate", -0.01),
+    ("norm", "l3"),
+])
+def test_out_of_range_config_exits_two(data_dir, tmp_path, capsys, key, value):
+    code = run(["train", "--data", str(data_dir), "--mode", "plain",
+                "--config", str(config_file(tmp_path, **{key: value})),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: {key} must be" in err
+    assert "Traceback" not in err
+
+
+def test_evaluate_forged_checkpoint_exits_two(data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "forged.ckpt"
+    save_store(ckpt, init_embeddings(8, 2, 4, TransE(), seed=0))
+    data = bytearray(ckpt.read_bytes())
+    data[22:30] = (2 ** 40).to_bytes(8, "little")  # n_ent u64 of the model header
+    ckpt.write_bytes(bytes(data))
+    code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
+                "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error:" in err and "Traceback" not in err
+
+
 def test_config_round_trip(tmp_path):
     config = TrainConfig(dim=12, margin=4.5, model="rotate", seed=9)
     path = tmp_path / "c.cfg"

@@ -5,9 +5,10 @@ from hypothesis import strategies as st
 
 from conftest import exhaustive_max_f1, make_graph, random_graph
 from kgedenoise.errors import DataError
-from kgedenoise.evaluation import (EvalReport, f1_score, filtered_rank, link_prediction,
+from kgedenoise.evaluation import (f1_score, filtered_rank, link_prediction,
                                    max_f1_sweep, noise_detection_f1, triple_classification)
-from kgedenoise.models import DistMult, EmbeddingStore, TransE, init_embeddings, score_batch
+from kgedenoise.models import (DistMult, EmbeddingStore, RotatE, TransE, init_embeddings,
+                               score_batch)
 
 
 # -- noise-detection F1 --------------------------------------------------------------------
@@ -128,11 +129,12 @@ def test_rank_invariant_under_monotone_transform(data):
     assert base == transformed
 
 
-def test_ranking_matches_brute_force_oracle():
+@pytest.mark.parametrize("kind", [TransE("l1"), TransE("l2"), DistMult(), RotatE()],
+                         ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+def test_ranking_matches_brute_force_oracle(kind):
     rng = np.random.default_rng(3)
     graph = random_graph(rng, n_entities=20, n_relations=3, n_train=120, n_valid=30,
                          n_test=30)
-    kind = DistMult()
     store = init_embeddings(20, 3, 6, kind, seed=5)
     result = link_prediction(kind, store, graph)
 
@@ -235,14 +237,3 @@ def test_classification_requires_nonempty_sets():
     with pytest.raises(DataError):
         triple_classification(store.kind, store, np.zeros((0, 3), dtype=int),
                               np.zeros(0), np.array([[0, 0, 1]]), np.array([1]))
-
-
-# -- report type -----------------------------------------------------------------------------
-
-
-def test_eval_report_validates_ranges():
-    report = EvalReport(mrr=0.5, hits={1: 0.2, 3: 0.4, 10: 0.6}, noise_f1=0.9,
-                        classification_accuracy=0.7)
-    assert report.to_dict()["hits"]["10"] == 0.6
-    with pytest.raises(DataError):
-        EvalReport(mrr=1.5, hits={1: 0.2}, noise_f1=None, classification_accuracy=None)

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph
 from kgedenoise.errors import DataError
-from kgedenoise.graph import Triple, load_graph, triples_of_relation, write_triples
+from kgedenoise.graph import Triple, load_graph, write_triples
 
 
 def write_split(path, lines):
@@ -69,19 +69,20 @@ def test_load_is_deterministic(tmp_path):
     assert one.positive_index == two.positive_index
 
 
-def test_triples_of_relation_empty_and_total(tiny_graph):
-    grouped = {r: triples_of_relation(tiny_graph, r) for r in range(2)}
+def test_relation_positions_empty_and_total(tiny_graph):
+    grouped = {r: tiny_graph.relation_positions(r) for r in range(2)}
     assert sum(len(v) for v in grouped.values()) == len(tiny_graph.train)
     empty_rel_graph = make_graph([(0, 0, 1)], n_relations=2)
-    assert triples_of_relation(empty_rel_graph, 1) == []
+    assert len(empty_rel_graph.relation_positions(1)) == 0
 
 
-def test_triples_of_relation_matches_linear_scan(tiny_graph):
+def test_relation_positions_match_linear_scan(tiny_graph):
     # oracle: plain scan over stored rows
     expected = [Triple(*map(int, row)) for row in tiny_graph.train if row[1] == 1]
-    got = [lt.triple for lt in triples_of_relation(tiny_graph, 1)]
+    positions = tiny_graph.relation_positions(1)
+    got = [Triple(*map(int, row)) for row in tiny_graph.train[positions]]
     assert got == expected == [Triple(2, 1, 3), Triple(4, 1, 5)]
-    assert all(not lt.is_noise for lt in triples_of_relation(tiny_graph, 1))
+    assert not tiny_graph.train_labels[positions].any()
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from conftest import make_graph, random_graph
 from kgedenoise.errors import DataError, NumericError
 from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
                                TransE, adam_step, corrupt_batch, init_embeddings,
-                               load_store, loss_and_grad, sample_negative, save_store,
+                               load_store, loss_and_grad, save_store,
                                score, score_all_heads, score_all_tails, score_batch)
 
 FD_STEP = 1e-5
@@ -113,27 +115,26 @@ def test_one_vs_all_scorers_match_batch():
 # -- negative sampling ----------------------------------------------------------------
 
 
-def test_sample_negative_changes_exactly_one_slot(tiny_graph):
-    rng = np.random.default_rng(0)
-    for row in tiny_graph.train:
-        neg = sample_negative(tiny_graph, row, rng)
-        changed_head = neg.head != row[0]
-        changed_tail = neg.tail != row[2]
-        assert neg.relation == row[1]
+def test_corrupt_batch_changes_exactly_one_slot(tiny_graph):
+    out = corrupt_batch(tiny_graph, tiny_graph.train, np.random.default_rng(0), count=1)
+    for row, neg in zip(tiny_graph.train, out):
+        changed_head = neg[0] != row[0]
+        changed_tail = neg[2] != row[2]
+        assert neg[1] == row[1]
         assert changed_head != changed_tail or not tiny_graph.is_positive(*neg)
 
 
-def test_sample_negative_deterministic(tiny_graph):
-    a = sample_negative(tiny_graph, tiny_graph.train[0], np.random.default_rng(3))
-    b = sample_negative(tiny_graph, tiny_graph.train[0], np.random.default_rng(3))
-    assert a == b
+def test_corrupt_batch_deterministic(tiny_graph):
+    a = corrupt_batch(tiny_graph, tiny_graph.train[:1], np.random.default_rng(3), count=1)
+    b = corrupt_batch(tiny_graph, tiny_graph.train[:1], np.random.default_rng(3), count=1)
+    assert np.array_equal(a, b)
 
 
-def test_sample_negative_fallback_when_everything_positive():
+def test_corrupt_batch_fallback_when_everything_positive():
     # |E| = 2 and all four (h,r,t) combinations are known positives
     graph = make_graph([(0, 0, 1), (1, 0, 0)], [(0, 0, 0)], [(1, 0, 1)], 2, 1)
-    neg = sample_negative(graph, (0, 0, 1), np.random.default_rng(1))
-    assert graph.is_positive(*neg)  # returned anyway after 10 tries
+    neg = corrupt_batch(graph, np.array([[0, 0, 1]]), np.random.default_rng(1), count=1)[0]
+    assert graph.is_positive(*neg)  # returned anyway after 10 redraws
 
 
 def test_corrupt_batch_matches_policy(tiny_graph):
@@ -174,6 +175,21 @@ def test_softplus_at_zero_score():
     scores = score_batch(kind, store, negatives)
     expected = np.log1p(np.exp(-0.0)) + np.log1p(np.exp(scores)).sum()
     assert loss == pytest.approx(expected, rel=1e-12)
+
+
+def test_rotation_loss_exact_value():
+    # the loss reuses the residual it scores with; pin it to score_batch
+    kind = RotatE(margin=2.0, negatives=3)
+    graph = random_graph(np.random.default_rng(3), n_entities=6, n_relations=2,
+                         n_train=10, n_valid=2, n_test=2)
+    store = init_embeddings(6, 2, 4, kind, seed=4)
+    loss, _ = loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(8))
+    negatives = corrupt_batch(graph, graph.train, np.random.default_rng(8), kind.negatives)
+    f_pos = score_batch(kind, store, graph.train)
+    f_neg = score_batch(kind, store, negatives)
+    eta, k = kind.margin, kind.negatives
+    expected = np.logaddexp(0.0, -(eta + f_pos)).sum() + np.logaddexp(0.0, eta + f_neg).sum() / k
+    assert loss == expected
 
 
 # -- losses: finite-difference oracle -----------------------------------------------------
@@ -412,4 +428,24 @@ def test_checkpoint_rejects_garbage(tmp_path):
     path = tmp_path / "bad.ckpt"
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(DataError):
+        load_store(path)
+
+
+def forge_entity_count(path):
+    """Declare 2^40 entities: n_ent is the u64 at byte 22 of the model header."""
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<Q", data, 22, 2 ** 40)
+    path.write_bytes(bytes(data))
+
+
+@pytest.mark.parametrize("corrupt", [
+    forge_entity_count,
+    lambda p: p.write_bytes(p.read_bytes()[:-8]),
+    lambda p: p.write_bytes(p.read_bytes() + b"\0" * 8),
+], ids=["huge-entity-count", "truncated-body", "trailing-bytes"])
+def test_checkpoint_rejects_forged_sizes(tmp_path, corrupt):
+    path = tmp_path / "model.ckpt"
+    save_store(path, init_embeddings(5, 2, 3, TransE(), seed=0))
+    corrupt(path)
+    with pytest.raises(DataError, match="matrix bytes"):
         load_store(path)

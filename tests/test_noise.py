@@ -3,8 +3,8 @@ import pytest
 
 from conftest import make_graph
 from kgedenoise.errors import DataError
-from kgedenoise.noise import (inject_noise, load_noise_labels, make_classification_negatives,
-                              write_noise_labels)
+from kgedenoise.graph import load_flags, write_flags
+from kgedenoise.noise import inject_noise, make_classification_negatives
 
 
 def legal_corruptions(graph):
@@ -121,8 +121,10 @@ def test_classification_negatives_empty_split():
 def test_label_sidecar_round_trip(tmp_path, tiny_graph):
     noisy = inject_noise(tiny_graph, 0.4, seed=7)
     path = tmp_path / "noise_labels.tsv"
-    write_noise_labels(path, noisy.train_labels)
-    loaded = load_noise_labels(path, expected=len(noisy.train))
-    assert np.array_equal(loaded, noisy.train_labels)
+    write_flags(path, noisy.train_labels)
+    assert np.array_equal(load_flags(path, len(noisy.train)), noisy.train_labels)
     with pytest.raises(DataError):
-        load_noise_labels(path, expected=len(noisy.train) + 1)
+        load_flags(path, len(noisy.train) + 1)
+    (tmp_path / "bad.tsv").write_text("1\n2\n")
+    with pytest.raises(DataError, match="bad.tsv:2"):
+        load_flags(tmp_path / "bad.tsv", 2)

@@ -7,14 +7,13 @@ from kgedenoise.agent import PolicyParams, Trajectory, state_dim_for
 from kgedenoise.clustering import RelationClusters
 from kgedenoise.config import TrainConfig
 from kgedenoise.errors import DataError
-from kgedenoise.graph import KnowledgeGraph
+from kgedenoise.graph import KnowledgeGraph, load_flags, write_flags
 from kgedenoise.models import AdamConfig, TransE, init_embeddings, score_batch
 from kgedenoise.noise import inject_noise
 from kgedenoise.seeding import seed_for
 from kgedenoise.trainer import (JointResult, RewardBaselines, joint_train, model_kind,
-                                load_selection_mask, pretrain_agents, pretrain_kge,
-                                run_kge_epoch, write_selection_mask, write_training_curve,
-                                xscore_baseline)
+                                pretrain_agents, pretrain_kge, run_kge_epoch,
+                                write_training_curve, xscore_baseline)
 
 
 def ten_triple_graph():
@@ -312,10 +311,11 @@ def test_seed_scheme_is_frozen():
 
 
 def test_selection_mask_round_trip(tmp_path):
+    # the selection mask is written in the shared 0/1-per-train-line format
     mask = np.array([True, False, True, True])
-    write_selection_mask(tmp_path / "mask.tsv", mask)
+    write_flags(tmp_path / "mask.tsv", mask)
     assert (tmp_path / "mask.tsv").read_text() == "1\n0\n1\n1\n"
-    assert np.array_equal(load_selection_mask(tmp_path / "mask.tsv", expected=4), mask)
+    assert np.array_equal(load_flags(tmp_path / "mask.tsv", 4), mask)
 
 
 def test_training_curve_format(tmp_path):
