@@ -20,6 +20,7 @@ _MINIMUM = {"dim": 1, "batch_size": 1, "k_negatives": 1, "clusters_k": 1,
             "joint_kge_epochs": 0, "agent_mimic_steps": 0, "relation_cap": 0,
             "agent_learning_rate": 0.0}
 _EMBEDDING_LEARNING_RATES = ("learning_rate", "joint_learning_rate")
+_FRACTIONS = ("delta", "agent_mimic_quantile")
 
 
 @dataclass
@@ -64,8 +65,9 @@ class TrainConfig:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.norm not in ("l1", "l2"):
             raise DataError(f"norm must be l1 or l2, got {self.norm!r}")
-        if not 0.0 <= self.delta <= 1.0:
-            raise DataError("delta must lie in [0, 1]")
+        for name in _FRACTIONS:
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise DataError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name, minimum in _MINIMUM.items():
             if getattr(self, name) < minimum:
                 raise DataError(f"{name} must be >= {minimum}, got {getattr(self, name)}")

@@ -27,7 +27,8 @@ Checkpoint layout (all little-endian, documented here and in README):
     entities, relations, m_ent, v_ent, m_rel, v_rel  raw <f8 matrices
 
 ``load_store`` refuses a file whose remaining size differs from the
-matrix bytes its header declares, before it reads or allocates any matrix.
+matrix bytes its header declares, before it reads or allocates any matrix,
+and a header whose norm or negatives field is invalid for its kind.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ from __future__ import annotations
 import os
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Union
 
 import numpy as np
@@ -253,21 +255,20 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
     Each negative replaces the head or the tail (fair coin) with a uniform
     entity. A corruption that is a known positive is redrawn up to 10
     times, and the last draw is returned regardless. The first draw is
-    made for the whole batch at once, redraws row by row.
+    made for the whole batch at once; the rows it makes known positives
+    are then redrawn row by row.
     """
-    rep = np.repeat(np.asarray(triples, dtype=np.int64).reshape(-1, 3), count, axis=0)
-    n = len(rep)
+    out = np.repeat(np.asarray(triples, dtype=np.int64).reshape(-1, 3), count, axis=0)
+    n = len(out)
     replace_head = rng.random(n) < 0.5
     candidates = rng.integers(0, graph.n_entities, size=n)
-    out = rep.copy()
-    out[replace_head, 0] = candidates[replace_head]
-    out[~replace_head, 2] = candidates[~replace_head]
+    np.copyto(out[:, 0], candidates, where=replace_head)
+    np.copyto(out[:, 2], candidates, where=~replace_head)
 
-    index = graph.positive_index
-    encoded = graph.encode_array(out)
-    for i, code in enumerate(encoded.tolist()):
-        if code not in index:
-            continue
+    # One C-level membership pass picks out the known positives; only those
+    # rows enter the redraw loop, so the generator is drawn as before.
+    known = map(graph.positive_index.__contains__, graph.encode_array(out).tolist())
+    for i in compress(range(n), known):
         h, r, t = out[i]
         for _ in range(_MAX_RESAMPLES):
             candidate = int(rng.integers(graph.n_entities))
@@ -292,10 +293,36 @@ class SparseGrad:
     values: np.ndarray  # (k, width)
 
 
-def _accumulate(rows: np.ndarray, contribs: np.ndarray) -> SparseGrad:
-    unique, inverse = np.unique(rows, return_inverse=True)
-    acc = np.zeros((len(unique), contribs.shape[1]))
-    np.add.at(acc, inverse, contribs)
+# Cells summed per np.bincount call in _accumulate: caps the flat cell index
+# at 8 MB however many rows and columns a batch's gradient has.
+_CELL_BLOCK = 1 << 20
+
+
+def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
+    """Sum the ``contribs`` rows that share a row id in ``[0, n_rows)``.
+
+    Each distinct row gets a slot from a dense first-touch index, and each
+    (slot, column) cell is summed by ``np.bincount``, which adds a cell's
+    terms in input order starting from 0.0, as ``np.add.at`` into zeros
+    does, so the sums are bitwise equal to it. Columns are summed in
+    blocks of whole columns, which bounds the index without changing any
+    cell's order of addition.
+    """
+    touched = np.zeros(n_rows, dtype=bool)
+    touched[rows] = True
+    unique = np.flatnonzero(touched)
+    slot = np.empty(n_rows, dtype=np.intp)
+    slot[unique] = np.arange(len(unique))
+    inverse = slot[rows]
+    k, width = len(unique), contribs.shape[1]
+    acc = np.empty((k, width))
+    block_cols = max(1, _CELL_BLOCK // len(rows))
+    for first in range(0, width, block_cols):
+        block = contribs[:, first:first + block_cols]
+        cols = block.shape[1]
+        cells = ((inverse * cols)[:, None] + np.arange(cols)).ravel()
+        acc[:, first:first + cols] = np.bincount(
+            cells, weights=block.ravel(), minlength=k * cols).reshape(k, cols)
     return SparseGrad(unique, acc)
 
 
@@ -323,18 +350,16 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
     active = violation > 0.0
     loss = float(violation[active].sum())
 
-    act = active[:, None]
+    # Inactive rows contribute zeros; their signs cannot reach the sums,
+    # which start from +0.0.
+    g_pos = np.where(active[:, None], g_pos, 0.0)
+    g_neg = np.where(active[:, None], g_neg, 0.0)
     ent_rows = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]])
-    ent_contrib = np.concatenate([
-        np.where(act, g_pos, 0.0),
-        np.where(act, -g_pos, 0.0),
-        np.where(act, -g_neg, 0.0),
-        np.where(act, g_neg, 0.0),
-    ])
-    rel_contrib = np.where(act, g_pos - g_neg, 0.0)
+    ent_contrib = np.concatenate([g_pos, -g_pos, -g_neg, g_neg])
+    rel_contrib = g_pos - g_neg
     return loss, {
-        "entities": _accumulate(ent_rows, ent_contrib),
-        "relations": _accumulate(r, rel_contrib),
+        "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
+        "relations": _accumulate(r, rel_contrib, store.n_relations),
     }
 
 
@@ -347,18 +372,20 @@ def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
     eh, er, et = ent[h], rel[r], ent[t]
 
     f = (eh * er * et).sum(axis=1)
-    loss = float(_softplus(-y * f).sum())
-    dldf = (-y * expit(-y * f))[:, None]
+    z = -y * f
+    loss = float(_softplus(z).sum())
+    dldf = (-y * expit(z))[:, None]
 
     ent_rows = np.concatenate([h, t])
     ent_contrib = np.concatenate([dldf * er * et, dldf * eh * er])
-    ent_grad = _accumulate(ent_rows, ent_contrib)
-    rel_grad = _accumulate(r, dldf * eh * et)
+    ent_grad = _accumulate(ent_rows, ent_contrib, store.n_entities)
+    rel_grad = _accumulate(r, dldf * eh * et, store.n_relations)
 
     # L2 term over the distinct rows this batch touches; each row counted once.
-    loss += kind.l2_coeff * float((ent[ent_grad.rows] ** 2).sum() + (rel[rel_grad.rows] ** 2).sum())
-    ent_grad.values += 2.0 * kind.l2_coeff * ent[ent_grad.rows]
-    rel_grad.values += 2.0 * kind.l2_coeff * rel[rel_grad.rows]
+    ent_touched, rel_touched = ent[ent_grad.rows], rel[rel_grad.rows]
+    loss += kind.l2_coeff * float((ent_touched ** 2).sum() + (rel_touched ** 2).sum())
+    ent_grad.values += 2.0 * kind.l2_coeff * ent_touched
+    rel_grad.values += 2.0 * kind.l2_coeff * rel_touched
     return loss, {"entities": ent_grad, "relations": rel_grad}
 
 
@@ -373,9 +400,10 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
         a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(store, h, r, t)
         f = -modulus.sum(axis=1)
         dldf = dldf_of(f)
-        safe = np.where(modulus > 0.0, modulus, 1.0)
-        da = np.where(modulus > 0.0, -a / safe, 0.0) * dldf[:, None]
-        db = np.where(modulus > 0.0, -b / safe, 0.0) * dldf[:, None]
+        nonzero = modulus > 0.0
+        safe = np.where(nonzero, modulus, 1.0)
+        da = np.where(nonzero, -a / safe, 0.0) * dldf[:, None]
+        db = np.where(nonzero, -b / safe, 0.0) * dldf[:, None]
         gh = np.concatenate([da * cos + db * sin, -da * sin + db * cos], axis=1)
         gt = np.concatenate([-da, -db], axis=1)
         gr = da * -(b + t_im) + db * (a + t_re)
@@ -389,8 +417,8 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
     rel_rows = np.concatenate([rp, rn])
     rel_contrib = np.concatenate([grp, grn])
     return loss, {
-        "entities": _accumulate(ent_rows, ent_contrib),
-        "relations": _accumulate(rel_rows, rel_contrib),
+        "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
+        "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
     }
 
 
@@ -415,12 +443,24 @@ def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
 # -- optimizer -----------------------------------------------------------------
 
 
-def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamConfig) -> None:
+def _first_non_finite_row(rows: np.ndarray, block: np.ndarray) -> int | None:
+    if np.isfinite(block).all():
+        return None
+    return int(rows[~np.isfinite(block).all(axis=1)][0])
+
+
+def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamConfig,
+              project_entities=None) -> None:
     """Bias-corrected Adam update on touched rows only.
 
     Both per-matrix step counters advance once per call; rows absent from
     the gradient keep their parameters and moments bitwise unchanged
-    (lazy/sparse Adam semantics).
+    (lazy/sparse Adam semantics). Each matrix's touched rows of parameters
+    and moments are gathered once, updated as a block and scattered once.
+    ``project_entities``, if given, maps the updated entity block to the
+    block to store (the translation model's unit-norm projection). A
+    non-finite gradient or updated parameter raises ``NumericError``
+    before anything of that matrix is stored.
     """
     store.step_ent += 1
     store.step_rel += 1
@@ -429,18 +469,37 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         step = store.step_ent if name == "entities" else store.step_rel
         if grad is None or len(grad.rows) == 0:
             continue
-        if not np.isfinite(grad.values).all():
-            bad = grad.rows[~np.isfinite(grad.values).all(axis=1)][0]
-            raise NumericError(f"non-finite gradient for {name} row {int(bad)}")
         rows, g = grad.rows, grad.values
-        m[rows] = config.beta1 * m[rows] + (1.0 - config.beta1) * g
-        v[rows] = config.beta2 * v[rows] + (1.0 - config.beta2) * (g * g)
-        m_hat = m[rows] / (1.0 - config.beta1 ** step)
-        v_hat = v[rows] / (1.0 - config.beta2 ** step)
-        params[rows] -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
-        if not np.isfinite(params[rows]).all():
-            bad = rows[~np.isfinite(params[rows]).all(axis=1)][0]
-            raise NumericError(f"non-finite parameter after update: {name} row {int(bad)}")
+        bad = _first_non_finite_row(rows, g)
+        if bad is not None:
+            raise NumericError(f"non-finite gradient for {name} row {bad}")
+        # In place, but each element sees the same operations in the same
+        # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
+        # p -= lr * m_hat / (sqrt(v_hat) + eps).
+        m_rows = m[rows]
+        m_rows *= config.beta1
+        m_rows += (1.0 - config.beta1) * g
+        v_rows = v[rows]
+        v_rows *= config.beta2
+        g_sq = g * g
+        g_sq *= 1.0 - config.beta2
+        v_rows += g_sq
+        update = m_rows / (1.0 - config.beta1 ** step)
+        update *= config.learning_rate
+        denom = v_rows / (1.0 - config.beta2 ** step)
+        np.sqrt(denom, out=denom)
+        denom += config.epsilon
+        update /= denom
+        p_rows = params[rows]
+        p_rows -= update
+        bad = _first_non_finite_row(rows, p_rows)
+        if bad is not None:
+            raise NumericError(f"non-finite parameter after update: {name} row {bad}")
+        if project_entities is not None and name == "entities":
+            p_rows = project_entities(p_rows)
+        m[rows] = m_rows
+        v[rows] = v_rows
+        params[rows] = p_rows
 
 
 # -- checkpoint IO ----------------------------------------------------------------
@@ -460,7 +519,11 @@ def _kind_to_fields(kind: ModelKind):
 
 def _kind_from_fields(code: int, norm: int, param_a: float, param_k: int) -> ModelKind:
     if code == 0:
+        if norm not in (1, 2):
+            raise DataError(f"TransE norm code must be 1 or 2, got {norm}")
         return TransE(norm="l1" if norm == 1 else "l2", margin=param_a)
+    if code in (1, 2) and param_k < 1:
+        raise DataError(f"negatives per positive must be >= 1, got {param_k}")
     if code == 1:
         return DistMult(l2_coeff=param_a, negatives=param_k)
     if code == 2:

@@ -51,10 +51,15 @@ def model_kind(config: TrainConfig) -> ModelKind:
 def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
                   triples: np.ndarray, adam: AdamConfig, batch_size: int,
                   rng: np.random.Generator) -> float:
-    """One shuffled mini-batch pass; returns the mean per-positive loss."""
+    """One shuffled mini-batch pass; returns the mean per-positive loss.
+
+    Translation models project their updated entity rows back onto the
+    unit sphere inside the Adam step, before the rows are stored.
+    """
     n = len(triples)
     if n == 0:
         raise DataError("cannot train on an empty triple set")
+    project = _normalize_entity_rows if isinstance(kind, TransE) else None
     order = rng.permutation(n)
     total = 0.0
     for start in range(0, n, batch_size):
@@ -62,25 +67,22 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
         loss, grads = loss_and_grad(kind, store, graph, batch, rng)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss on batch starting at {start}")
-        adam_step(store, grads, adam)
-        if isinstance(kind, TransE):
-            _normalize_entity_rows(store, grads["entities"].rows)
+        adam_step(store, grads, adam, project)
         total += loss
     return total / n
 
 
-def _normalize_entity_rows(store: EmbeddingStore, rows: np.ndarray) -> None:
-    """Project the batch's entity rows back onto the unit L2 sphere.
+def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
+    """Project updated entity rows back onto the unit L2 sphere.
 
     The margin objective is degenerate under uniform norm growth, so
     translation training keeps the original method's unit-norm entity
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
     """
-    block = store.entities[rows]
     norms = np.sqrt((block ** 2).sum(axis=1, keepdims=True))
     safe = np.where(norms > 0.0, norms, 1.0)
-    store.entities[rows] = np.where(norms > 0.0, block / safe, block)
+    return np.where(norms > 0.0, block / safe, block)
 
 
 @dataclass
@@ -331,6 +333,17 @@ def joint_train(graph: KnowledgeGraph, kind: ModelKind, mode: str, config: Train
     return JointResult(store, params, clusters, selected, pre.losses, stats)
 
 
+def score_filter_mask(scores: np.ndarray, drop: int) -> np.ndarray:
+    """Keep mask that drops the ``drop`` lowest scores; ties break by stable order."""
+    n = len(scores)
+    if drop < 0 or drop >= n:
+        raise DataError(f"filter would keep {n - drop} of {n} triples; must keep >= 1")
+    mask = np.ones(n, dtype=bool)
+    if drop:
+        mask[np.argsort(scores, kind="stable")[:drop]] = False
+    return mask
+
+
 @dataclass
 class XScoreResult:
     store: EmbeddingStore
@@ -343,9 +356,9 @@ def xscore_baseline(graph: KnowledgeGraph, kind: ModelKind, delta: float,
                     config: TrainConfig, *, keep_count: int | None = None) -> XScoreResult:
     """Score-filter baseline: drop the lowest-scored fraction, retrain fresh.
 
-    ``keep_count`` overrides ``delta`` to keep exactly that many triples
-    (used for matched-budget comparisons against the selection agents).
-    Ties break by stable triple order.
+    ``keep_count`` overrides ``delta`` to keep exactly that many triples.
+    Ties break by stable triple order. A matched-budget mask alone needs
+    no retraining: ``score_filter_mask`` cuts it from ``pretrain_scores``.
     """
     if not 0.0 <= delta <= 1.0:
         raise DataError("delta must lie in [0, 1]")
@@ -354,11 +367,7 @@ def xscore_baseline(graph: KnowledgeGraph, kind: ModelKind, delta: float,
     scores = score_batch(kind, pre.store, graph.train)
 
     drop = n - keep_count if keep_count is not None else int(delta * n)
-    if drop < 0 or drop >= n:
-        raise DataError(f"filter would keep {n - drop} of {n} triples; must keep >= 1")
-    mask = np.ones(n, dtype=bool)
-    if drop:
-        mask[np.argsort(scores, kind="stable")[:drop]] = False
+    mask = score_filter_mask(scores, drop)
 
     retrained = pretrain_kge(graph, kind, config, triples=graph.train[mask],
                              seed=seed_for(config.seed, "xscore-retrain"))

@@ -169,7 +169,7 @@ def test_missing_data_exits_two(tmp_path):
     ("pretrain_epochs", -1), ("episodes", -1), ("agent_warmup_episodes", -1),
     ("joint_kge_epochs", -1), ("agent_mimic_steps", -1), ("relation_cap", -1),
     ("learning_rate", 0.0), ("joint_learning_rate", -0.001), ("agent_learning_rate", -0.01),
-    ("norm", "l3"),
+    ("norm", "l3"), ("agent_mimic_quantile", 1.5),
 ])
 def test_out_of_range_config_exits_two(data_dir, tmp_path, capsys, key, value):
     code = run(["train", "--data", str(data_dir), "--mode", "plain",

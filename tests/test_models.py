@@ -1,9 +1,13 @@
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
+from kgedenoise import models
 from kgedenoise.errors import DataError, NumericError
 from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
                                TransE, adam_step, corrupt_batch, init_embeddings,
@@ -145,6 +149,98 @@ def test_corrupt_batch_matches_policy(tiny_graph):
     differs = (out != rep).sum(axis=1)
     assert set(differs.tolist()) <= {0, 1}  # at most one slot changed
     assert np.array_equal(out[:, 1], rep[:, 1])
+
+
+def reference_corrupt_batch(graph, triples, rng, count):
+    """Row-by-row twin of ``corrupt_batch``: every row's membership is tested
+    in Python. Also returns which rows used up all their redraws."""
+    rep = np.repeat(np.asarray(triples, dtype=np.int64).reshape(-1, 3), count, axis=0)
+    n = len(rep)
+    replace_head = rng.random(n) < 0.5
+    candidates = rng.integers(0, graph.n_entities, size=n)
+    out = rep.copy()
+    out[replace_head, 0] = candidates[replace_head]
+    out[~replace_head, 2] = candidates[~replace_head]
+    exhausted = np.zeros(n, dtype=bool)
+    for i in range(n):
+        h, r, t = (int(x) for x in out[i])
+        if not graph.is_positive(h, r, t):
+            continue
+        exhausted[i] = True
+        for _ in range(10):
+            candidate = int(rng.integers(graph.n_entities))
+            if replace_head[i]:
+                h = candidate
+            else:
+                t = candidate
+            if not graph.is_positive(h, r, t):
+                exhausted[i] = False
+                break
+        out[i, 0], out[i, 2] = h, t
+    return out, exhausted
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_corrupt_batch_matches_row_by_row_reference(data):
+    # Small, dense graphs: many first draws are known positives, and with
+    # two entities and every triple known, all ten redraws can hit one.
+    n_ent = data.draw(st.integers(2, 5))
+    n_rel = data.draw(st.integers(1, 2))
+    triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                       st.integers(0, n_ent - 1))
+    train = data.draw(st.lists(triple, min_size=1, max_size=n_ent * n_ent * n_rel, unique=True))
+    graph = make_graph(train, n_entities=n_ent, n_relations=n_rel)
+    batch = graph.train[data.draw(st.lists(st.integers(0, len(train) - 1), min_size=1,
+                                           max_size=12))]
+    count = data.draw(st.integers(1, 4))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    out = corrupt_batch(graph, batch, rng, count)
+    expected, exhausted = reference_corrupt_batch(graph, batch, reference_rng, count)
+    assert np.array_equal(out, expected)
+    assert rng.random() == reference_rng.random()  # same number of draws
+    for row, used_up in zip(out.tolist(), exhausted):
+        assert used_up or not graph.is_positive(*row)
+
+
+# -- gradient accumulation ----------------------------------------------------------------
+
+
+def add_at_reference(rows, contribs):
+    unique, inverse = np.unique(rows, return_inverse=True)
+    acc = np.zeros((len(unique), contribs.shape[1]))
+    np.add.at(acc, inverse, contribs)
+    return unique, acc
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_accumulate_bitwise_equals_add_at(data):
+    n_rows = data.draw(st.integers(1, 10))
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=40)))
+    width = data.draw(st.integers(1, 200))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    # Magnitudes over 16 decades, so the order of addition shows in the bits.
+    shape = (len(rows), width)
+    contribs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    contribs[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    # Small cell blocks split the columns into several bincount calls.
+    cell_block = data.draw(st.sampled_from([1, 7, 64, models._CELL_BLOCK]))
+    with mock.patch.object(models, "_CELL_BLOCK", cell_block):
+        grad = models._accumulate(rows, contribs, n_rows)
+    unique, expected = add_at_reference(rows, contribs)
+    assert np.array_equal(grad.rows, unique)
+    assert np.array_equal(grad.values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_accumulate_single_row():
+    contribs = np.array([[1e16, -0.0, 3.0], [1.0, -0.0, -3.0], [-1e16, -0.0, 0.5]])
+    grad = models._accumulate(np.array([4, 4, 4]), contribs, 5)
+    assert grad.rows.tolist() == [4]
+    assert np.array_equal(grad.values.view(np.uint64),
+                          add_at_reference(np.array([4, 4, 4]), contribs)[1].view(np.uint64))
 
 
 # -- losses: exact values ---------------------------------------------------------------
@@ -448,4 +544,21 @@ def test_checkpoint_rejects_forged_sizes(tmp_path, corrupt):
     save_store(path, init_embeddings(5, 2, 3, TransE(), seed=0))
     corrupt(path)
     with pytest.raises(DataError, match="matrix bytes"):
+        load_store(path)
+
+
+@pytest.mark.parametrize("kind, offset, fmt, value, message", [
+    (TransE("l1"), 9, "<B", 7, "norm code must be 1 or 2"),
+    (TransE("l2"), 9, "<B", 0, "norm code must be 1 or 2"),
+    (DistMult(), 18, "<I", 0, "negatives per positive must be >= 1"),
+    (RotatE(), 18, "<I", 0, "negatives per positive must be >= 1"),
+], ids=["transe-norm-7", "transe-norm-0", "distmult-zero-negatives", "rotate-zero-negatives"])
+def test_checkpoint_rejects_forged_kind_fields(tmp_path, kind, offset, fmt, value, message):
+    # The norm byte sits at offset 9 and the u32 negatives count at 18.
+    path = tmp_path / "model.ckpt"
+    save_store(path, init_embeddings(5, 2, 3, kind, seed=0))
+    data = bytearray(path.read_bytes())
+    struct.pack_into(fmt, data, offset, value)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=message):
         load_store(path)

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from conftest import make_graph
+from conftest import make_graph, random_graph
 from kgedenoise import trainer
 from kgedenoise.agent import PolicyParams, Trajectory, state_dim_for
 from kgedenoise.clustering import RelationClusters
@@ -299,6 +301,23 @@ def test_xscore_keep_count_override():
     assert result.mask.sum() == 7
 
 
+def test_score_filter_mask_matches_keep_count_rerun():
+    # The matched-budget mask is cut from the first run's pre-training
+    # scores; a second xscore_baseline run with keep_count gave the same.
+    graph = ten_triple_graph()
+    config = small_config()
+    kind = model_kind(config)
+    first = xscore_baseline(graph, kind, 0.2, config)
+    rerun = xscore_baseline(graph, kind, 0.2, config, keep_count=7)
+    assert np.array_equal(trainer.score_filter_mask(first.pretrain_scores, 3), rerun.mask)
+    # Ties go to the earlier triple; a filter must keep at least one.
+    assert trainer.score_filter_mask(np.array([1.0, 0.5, 0.5, 2.0]), 1).tolist() == \
+        [True, False, True, True]
+    for drop in (-1, 4):
+        with pytest.raises(DataError, match="must keep >= 1"):
+            trainer.score_filter_mask(np.zeros(4), drop)
+
+
 # -- seed scheme and file formats -----------------------------------------------------------------
 
 
@@ -323,3 +342,59 @@ def test_training_curve_format(tmp_path):
     lines = (tmp_path / "curve.csv").read_text().splitlines()
     assert lines[0] == "epoch,loss"
     assert lines[1] == "0,1.5"
+
+
+# SHA-256 of entities, relations, m_ent, v_ent, m_rel and v_rel after three
+# epochs of pre-training. They pin every bit of the training step: its
+# negatives, gradient sums, Adam arithmetic and TransE projection. Taken with
+# numpy 2.4.6 and scipy 1.17.1 on x86-64; numpy builds whose transcendental
+# kernels round differently can change them without any change here.
+GOLDEN_STORE_DIGESTS = {
+    "transe-l1": (
+        "77f8449b945aa669cf6362b9b2230261228a9b056c7972df796891d0e225ec47",
+        "5b1488bbb92127e64f9da35a10071f15baa5f77cb89f6e8db00b86407e55ecd3",
+        "d922898c4190417ed3258a2d6014185b8fea89db0509d7719ddf602e8cc8d5d1",
+        "e963e157ab2277c801b38ea36b5b840714e2d7e9cb7e966316eb695d36da2876",
+        "c70a5ed05dae282be0e12fdca8dbf50a0d601dc7d15ce2fce6f73f5afe2ffa44",
+        "cc23f8d8b7d5f655e192d3f1abe709611e5e14a521342dc455361645373a413f",
+    ),
+    "transe-l2": (
+        "426607b7e611383e0e4fa8dea9f036ec1c34277f7a9600b434174cebe57b4512",
+        "fff8af04bbdb07e5c7877384fdc653d32657d6490b9b9d6b570e87fc78cbd3ff",
+        "505e098113659b739197dfec7cac06c33b5446bb5b34fd90a68b42ec14c30687",
+        "c15059d37b1ee3f95a0016b2b95656d359b94227aba19bc9a432698b674935fd",
+        "324c17dab68805c3be077fc6adff94af6728e35912f1dd50061f4e3ec606f452",
+        "c6de45049f2fe5ba3be63c37744355d329434f2e2e8015fbf19441d2339fa6d6",
+    ),
+    "distmult": (
+        "1151982baec853632b30837e24ba99aaedf48eb043fb36685af9345bebf2647c",
+        "f46f2a03991b02120120a250aabbc0b4672713c169a8e85e45458f00596df6af",
+        "b124a9d3c397844129b9aec6453e110d2a316f2a689b08a004ef757badb1bab2",
+        "1711420108f23f69f9f3542ba5702efb418c91b93f66e43f1fed73d0d33c5668",
+        "99f400a83bd7cd9022d8a7b63b9c350d42388681c811ed518777da217675898a",
+        "8385b91a9f56f4286114bff940d22ef31b3709964850544a134cafd0688656f6",
+    ),
+    "rotate": (
+        "cfe6cba9a404a23d0f2d6363d5fd7153121cbeb414d6e91ac2459833287161c7",
+        "ed467e52600db8a8aee310968fdb94ce014f8213d56d72e2ede8b60ffe31375e",
+        "be4288119be92c63a334a9cbb01e897c288ef69df4fe828e505793ced91d6cb7",
+        "879777aa55854126f38969cb70f4afc10f591d138b184bfcd2ef170c6f2622ca",
+        "0182cd6efb69d24b065702a8bb6e12b4d09abf0a14bdf4a0598bd1b79abede10",
+        "52d596fc9720d4892f6ce127921575df44ce9a2f0a232eb8c6f6fcaa85684dc2",
+    ),
+}
+
+
+@pytest.mark.parametrize("model, norm", [("transe", "l1"), ("transe", "l2"),
+                                         ("distmult", "l1"), ("rotate", "l1")],
+                         ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+def test_pretrain_store_matches_golden_digests(model, norm):
+    graph = random_graph(np.random.default_rng(21), n_entities=25, n_relations=4,
+                         n_train=120, n_valid=5, n_test=5)
+    config = TrainConfig(model=model, norm=norm, dim=6, batch_size=16, pretrain_epochs=3,
+                         k_negatives=3, learning_rate=0.05, seed=5)
+    store = pretrain_kge(graph, model_kind(config), config).store
+    digests = tuple(hashlib.sha256(getattr(store, name).tobytes()).hexdigest()
+                    for name in ("entities", "relations", "m_ent", "v_ent", "m_rel", "v_rel"))
+    key = f"{model}-{norm}" if model == "transe" else model
+    assert digests == GOLDEN_STORE_DIGESTS[key]
