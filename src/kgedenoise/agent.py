@@ -34,6 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit, log_expit
 
+from .atomic import atomic_write
 from .clustering import RelationClusters
 from .errors import DataError, NumericError
 from .models import (EmbeddingStore, ModelKind, read_matrices, relation_features,
@@ -254,7 +255,7 @@ def save_policy(path, params: PolicyParams) -> None:
     mode_code = MODES.index(params.mode)
     header = _HEADER.pack(_MAGIC, _VERSION, mode_code, params.u.shape[0],
                           params.v.shape[0], params.state_dim)
-    with open(path, "wb") as handle:
+    with atomic_write(path, binary=True) as handle:
         handle.write(header)
         handle.write(np.ascontiguousarray(params.u, dtype="<f8").tobytes())
         handle.write(np.ascontiguousarray(params.v, dtype="<f8").tobytes())

@@ -141,11 +141,14 @@ def cmd_evaluate(args) -> int:
 
     if args.labels:
         labels = load_flags(args.labels, len(graph.train))
-        if args.mask:
-            mask = load_flags(args.mask, len(graph.train))
-            report["noise_f1"] = noise_detection_f1(mask, labels)
-        report["noise_f1_score_sweep"] = noise_detection_f1(
-            score_batch(kind, store, graph.train), labels)
+        mask = load_flags(args.mask, len(graph.train)) if args.mask else None
+        # Noise F1 is undefined without injected noise; clean labels leave
+        # the noise_f1* keys out, as experiments.evaluate_store does.
+        if labels.any():
+            if mask is not None:
+                report["noise_f1"] = noise_detection_f1(mask, labels)
+            report["noise_f1_score_sweep"] = noise_detection_f1(
+                score_batch(kind, store, graph.train), labels)
 
     experiments.write_report(report, args.out)
     print(f"mrr={lp.mrr:.4f} hits@10={lp.hits[10]:.4f} "

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 from .graph import Vocabulary
 
@@ -114,7 +115,7 @@ def kmeans(matrix: np.ndarray, k: int, seed: int, max_iters: int = 100) -> Relat
 
 
 def save_clusters(path, clusters: RelationClusters, relation_vocab: Vocabulary) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for r, c in enumerate(clusters.assignment):
             handle.write(f"{relation_vocab.name_of(r)}\t{int(c)}\n")
 

@@ -9,16 +9,20 @@ are never consulted.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
+from .atomic import atomic_write
 from .errors import DataError
 
 # Smallest accepted value per field: a count of 0 turns its stage (or the
-# relation cap) off, and an agent learning rate of 0 freezes the agents.
+# relation cap) off, an agent learning rate of 0 freezes the agents, and a
+# margin, loss or penalty coefficient of 0 drops its term.
 _MINIMUM = {"dim": 1, "batch_size": 1, "k_negatives": 1, "clusters_k": 1,
             "pretrain_epochs": 0, "episodes": 0, "agent_warmup_episodes": 0,
             "joint_kge_epochs": 0, "agent_mimic_steps": 0, "relation_cap": 0,
-            "agent_learning_rate": 0.0}
+            "agent_learning_rate": 0.0, "margin": 0.0, "eta": 0.0, "l2_coeff": 0.0,
+            "alpha": 0.0, "lambda1": 0.0, "lambda2": 0.0, "agent_mimic_sharpness": 0.0}
 _EMBEDDING_LEARNING_RATES = ("learning_rate", "joint_learning_rate")
 _FRACTIONS = ("delta", "agent_mimic_quantile")
 
@@ -65,12 +69,18 @@ class TrainConfig:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.norm not in ("l1", "l2"):
             raise DataError(f"norm must be l1 or l2, got {self.norm!r}")
+        for name, kind in _FIELD_TYPES.items():
+            if kind == "float" and not math.isfinite(getattr(self, name)):
+                raise DataError(f"{name} must be finite, got {getattr(self, name)}")
         for name in _FRACTIONS:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise DataError(f"{name} must be in [0, 1], got {getattr(self, name)}")
         for name, minimum in _MINIMUM.items():
             if getattr(self, name) < minimum:
                 raise DataError(f"{name} must be >= {minimum}, got {getattr(self, name)}")
+        # A negative decay turns reward centering off; above 1 it diverges.
+        if self.agent_baseline_decay > 1.0:
+            raise DataError(f"agent_baseline_decay must be <= 1, got {self.agent_baseline_decay}")
         for name in _EMBEDDING_LEARNING_RATES:
             if not getattr(self, name) > 0.0:
                 raise DataError(f"{name} must be > 0, got {getattr(self, name)}")
@@ -118,5 +128,5 @@ def format_config(config: TrainConfig) -> str:
 
 
 def write_config(path, config: TrainConfig) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write(format_config(config))

@@ -15,6 +15,7 @@ import logging
 import os
 from dataclasses import dataclass, field
 
+from .atomic import atomic_write
 from .config import TrainConfig
 from .errors import DataError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
@@ -194,6 +195,6 @@ def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: 
 
 def write_report(report: dict, path) -> None:
     """Stable-order JSON so identical runs produce identical bytes."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
         handle.write("\n")

@@ -17,6 +17,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
+from .atomic import atomic_write
 from .errors import DataError
 
 logger = logging.getLogger(__name__)
@@ -273,14 +274,14 @@ def load_graph(train_path, valid_path, test_path) -> KnowledgeGraph:
 def write_triples(path, graph: KnowledgeGraph, triples: np.ndarray) -> None:
     """Write triples as a name-based TSV file (one fact per line)."""
     ent, rel = graph.entity_vocab, graph.relation_vocab
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for h, r, t in triples:
             handle.write(f"{ent.name_of(h)}\t{rel.name_of(r)}\t{ent.name_of(t)}\n")
 
 
 def write_flags(path, flags: np.ndarray) -> None:
     """Flag sidecar: one 0/1 per train line (noise labels, selection masks)."""
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         for flag in flags:
             handle.write(f"{int(flag)}\n")
 

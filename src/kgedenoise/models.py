@@ -15,6 +15,15 @@ positive (RotatE). Every loss draws its negatives through
 ``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
 
+A training step works in cache-sized pieces. Each loss body goes through
+its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
+scores into a batch-wide vector and gradient rows into one column-major
+contribution buffer; RotatE takes the trig of the relation table once per
+call. ``_accumulate`` sums the buffer's rows per touched row with
+``np.bincount`` over column-major cells, and ``adam_step`` updates the
+gathered rows chunk by chunk before one scatter. Losses, gradients and
+stores are bitwise equal to an unchunked, row-major step.
+
 Checkpoint layout (all little-endian, documented here and in README):
 
     magic   4 bytes  b"KGDN"
@@ -33,6 +42,7 @@ and a header whose norm or negatives field is invalid for its kind.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -42,6 +52,7 @@ from typing import Union
 import numpy as np
 from scipy.special import expit
 
+from .atomic import atomic_write
 from .errors import DataError, NumericError
 from .graph import KnowledgeGraph
 
@@ -155,17 +166,36 @@ def init_embeddings(n_entities: int, n_relations: int, dim: int, kind: ModelKind
 # -- scoring -------------------------------------------------------------------
 
 
-def _rotate_parts(store: EmbeddingStore, h: np.ndarray, r: np.ndarray, t: np.ndarray):
-    """Per-dimension residual (a, b) of h o r - t and its modulus."""
+def _rotate_trig(store: EmbeddingStore):
+    """(cos, sin) of every relation phase, one row per relation."""
+    return np.cos(store.relations), np.sin(store.relations)
+
+
+def _rotate_parts(store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: np.ndarray):
+    """Per-dimension residual (a, b) of h o r - t and its modulus.
+
+    ``h``, ``r`` and ``t`` are index arrays. ``trig`` is
+    ``_rotate_trig(store)``; its rows are gathered, so the trig is taken
+    once per relation rather than once per triple.
+    """
     d = store.dim
     ent = store.entities
     h_re, h_im = ent[h, :d], ent[h, d:]
     t_re, t_im = ent[t, :d], ent[t, d:]
-    theta = store.relations[r]
-    cos, sin = np.cos(theta), np.sin(theta)
-    a = h_re * cos - h_im * sin - t_re
-    b = h_re * sin + h_im * cos - t_im
-    modulus = np.sqrt(a * a + b * b)
+    cos, sin = trig[0][r], trig[1][r]
+    # a = h_re cos - h_im sin - t_re, b = h_re sin + h_im cos - t_im and
+    # sqrt(a a + b b), evaluated in that order, reusing the gathered halves
+    # of h once they are spent.
+    a = h_re * cos
+    modulus = h_im * sin
+    a -= modulus
+    a -= t_re
+    b = np.multiply(h_re, sin, out=h_re)
+    b += np.multiply(h_im, cos, out=h_im)
+    b -= t_im
+    np.multiply(a, a, out=modulus)
+    modulus += np.multiply(b, b, out=h_im)
+    np.sqrt(modulus, out=modulus)
     return a, b, modulus, cos, sin, t_re, t_im
 
 
@@ -180,7 +210,7 @@ def score_batch(kind: ModelKind, store: EmbeddingStore, triples: np.ndarray) -> 
         return -np.sqrt((delta * delta).sum(axis=1))
     if isinstance(kind, DistMult):
         return (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
-    _, _, modulus, *_ = _rotate_parts(store, h, r, t)
+    _, _, modulus, *_ = _rotate_parts(store, _rotate_trig(store), h, r, t)
     return -modulus.sum(axis=1)
 
 
@@ -296,6 +326,16 @@ class SparseGrad:
 # Cells summed per np.bincount call in _accumulate: caps the flat cell index
 # at 8 MB however many rows and columns a batch's gradient has.
 _CELL_BLOCK = 1 << 20
+# Rows per chunk of the loss bodies and of adam_step. A chunk's temporaries
+# stay within the per-core cache at d=100, and a batch of 32 positives with
+# 10 negatives each is a single chunk.
+_ROW_BLOCK = 384
+
+
+def _row_chunks(n: int):
+    """Consecutive slices of ``_ROW_BLOCK`` rows covering ``range(n)``; the
+    last one may reach past ``n``, so slice only arrays of length ``n``."""
+    return map(slice, range(0, n, _ROW_BLOCK), range(_ROW_BLOCK, n + _ROW_BLOCK, _ROW_BLOCK))
 
 
 def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
@@ -304,9 +344,12 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     Each distinct row gets a slot from a dense first-touch index, and each
     (slot, column) cell is summed by ``np.bincount``, which adds a cell's
     terms in input order starting from 0.0, as ``np.add.at`` into zeros
-    does, so the sums are bitwise equal to it. Columns are summed in
-    blocks of whole columns, which bounds the index without changing any
-    cell's order of addition.
+    does, so the sums are bitwise equal to it. Cells are numbered column
+    by column (``slot + k * column``) and the weights read in column-major
+    order, so each column's writes stay within a k-sized region; the loss
+    bodies build ``contribs`` column-major, which makes that read a view.
+    Columns are summed in blocks of whole columns, which bounds the index
+    without changing any cell's order of addition.
     """
     touched = np.zeros(n_rows, dtype=bool)
     touched[rows] = True
@@ -316,13 +359,15 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     inverse = slot[rows]
     k, width = len(unique), contribs.shape[1]
     acc = np.empty((k, width))
-    block_cols = max(1, _CELL_BLOCK // len(rows))
+    block_cols = min(width, max(1, _CELL_BLOCK // len(rows)))
+    # Every block numbers its cells alike; a narrower last block uses a prefix.
+    block_cells = (np.arange(0, k * block_cols, k)[:, None] + inverse).ravel()
     for first in range(0, width, block_cols):
         block = contribs[:, first:first + block_cols]
         cols = block.shape[1]
-        cells = ((inverse * cols)[:, None] + np.arange(cols)).ravel()
         acc[:, first:first + cols] = np.bincount(
-            cells, weights=block.ravel(), minlength=k * cols).reshape(k, cols)
+            block_cells[:cols * len(rows)], weights=block.ravel(order="F"),
+            minlength=k * cols).reshape(cols, k).T
     return SparseGrad(unique, acc)
 
 
@@ -330,33 +375,58 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
+# Each loss body below works through its triples in row chunks. A chunk
+# writes its scores into a batch-wide vector and its gradient rows straight
+# into one column-major contribution buffer; every loss sum is taken once
+# over the whole vector, as numpy's pairwise sum depends on its length.
+# The chunk bodies are functions so that their temporaries are freed before
+# _accumulate allocates: left alive, they made the heap grow and shrink by
+# their size on every small batch, at the cost of a page fault per 4 kB.
+
+
 def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
     negatives = corrupt_batch(graph, positives, rng, 1)
     ent, rel = store.entities, store.relations
-    r = positives[:, 1]
+    n, r = len(positives), positives[:, 1]
 
-    def parts(tr):
-        delta = ent[tr[:, 0]] + rel[r] - ent[tr[:, 2]]
+    def parts(tr, rel_rows):
+        """Distances ||h + r - t|| of a triple chunk and their gradients in h."""
+        delta = ent[tr[:, 0]] + rel_rows - ent[tr[:, 2]]
         if kind.norm == "l1":
-            return -np.abs(delta).sum(axis=1), np.sign(delta)
+            return np.abs(delta).sum(axis=1), np.sign(delta)
         norm = np.sqrt((delta * delta).sum(axis=1))
         safe = np.where(norm > 0.0, norm, 1.0)
-        grad = np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
-        return -norm, grad
+        return norm, np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
 
-    f_pos, g_pos = parts(positives)
-    f_neg, g_neg = parts(negatives)
-    violation = f_neg - f_pos + kind.margin
-    active = violation > 0.0
-    loss = float(violation[active].sum())
-
+    violation = np.empty(n)
+    # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), and g_pos - g_neg.
     # Inactive rows contribute zeros; their signs cannot reach the sums,
     # which start from +0.0.
-    g_pos = np.where(active[:, None], g_pos, 0.0)
-    g_neg = np.where(active[:, None], g_neg, 0.0)
+    ent_contrib = np.empty((4 * n, store.dim), order="F")
+    rel_contrib = np.empty((n, store.dim), order="F")
+    g_hp, g_tp = ent_contrib[:n], ent_contrib[n:2 * n]
+    g_hn, g_tn = ent_contrib[2 * n:3 * n], ent_contrib[3 * n:]
+
+    def chunk(rows):
+        rel_rows = rel[r[rows]]
+        d_pos, g_pos = parts(positives[rows], rel_rows)
+        d_neg, g_neg = parts(negatives[rows], rel_rows)
+        # f_neg - f_pos + margin with f = -distance, bit for bit.
+        v = np.subtract(d_pos, d_neg, out=violation[rows])
+        v += kind.margin
+        inactive = ~(v > 0.0)
+        g_pos[inactive] = 0.0
+        g_neg[inactive] = 0.0
+        g_hp[rows] = g_pos
+        g_tn[rows] = g_neg
+        rel_contrib[rows] = g_pos - g_neg
+        g_tp[rows] = np.negative(g_pos, out=g_pos)
+        g_hn[rows] = np.negative(g_neg, out=g_neg)
+
+    for rows in _row_chunks(n):
+        chunk(rows)
+    loss = float(violation[violation > 0.0].sum())
     ent_rows = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]])
-    ent_contrib = np.concatenate([g_pos, -g_pos, -g_neg, g_neg])
-    rel_contrib = g_pos - g_neg
     return loss, {
         "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
         "relations": _accumulate(r, rel_contrib, store.n_relations),
@@ -366,20 +436,39 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
 def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
     negatives = corrupt_batch(graph, positives, rng, kind.negatives)
     labeled = np.concatenate([positives, negatives])
-    y = np.concatenate([np.ones(len(positives)), -np.ones(len(negatives))])
+    neg_y = np.repeat([-1.0, 1.0], [len(positives), len(negatives)])  # -label
     ent, rel = store.entities, store.relations
     h, r, t = labeled[:, 0], labeled[:, 1], labeled[:, 2]
-    eh, er, et = ent[h], rel[r], ent[t]
+    n = len(labeled)
 
-    f = (eh * er * et).sum(axis=1)
-    z = -y * f
+    z = np.empty(n)
+    # Rows h then t of the labeled triples.
+    ent_contrib = np.empty((2 * n, store.dim), order="F")
+    rel_contrib = np.empty((n, store.dim), order="F")
+    g_h, g_t = ent_contrib[:n], ent_contrib[n:]
+
+    def chunk(rows):
+        # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
+        # (dldf eh) et, built in a C-ordered block and copied into the
+        # column-major buffers.
+        eh, er, et = ent[h[rows]], rel[r[rows]], ent[t[rows]]
+        block = eh * er
+        block *= et
+        y_rows = neg_y[rows]
+        z_rows = np.multiply(y_rows, block.sum(axis=1), out=z[rows])
+        dldf = (y_rows * expit(z_rows))[:, None]
+        np.multiply(dldf, er, out=block)
+        block *= et
+        g_h[rows] = block
+        eh *= dldf
+        g_t[rows] = np.multiply(eh, er, out=block)
+        rel_contrib[rows] = np.multiply(eh, et, out=block)
+
+    for rows in _row_chunks(n):
+        chunk(rows)
     loss = float(_softplus(z).sum())
-    dldf = (-y * expit(z))[:, None]
-
-    ent_rows = np.concatenate([h, t])
-    ent_contrib = np.concatenate([dldf * er * et, dldf * eh * er])
-    ent_grad = _accumulate(ent_rows, ent_contrib, store.n_entities)
-    rel_grad = _accumulate(r, dldf * eh * et, store.n_relations)
+    ent_grad = _accumulate(np.concatenate([h, t]), ent_contrib, store.n_entities)
+    rel_grad = _accumulate(r, rel_contrib, store.n_relations)
 
     # L2 term over the distinct rows this batch touches; each row counted once.
     ent_touched, rel_touched = ent[ent_grad.rows], rel[rel_grad.rows]
@@ -393,29 +482,60 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
     k = kind.negatives
     eta = kind.margin
     negatives = corrupt_batch(graph, positives, rng, k)
+    trig = _rotate_trig(store)
+    d = store.dim
+    n_pos, n_neg = len(positives), len(negatives)
+    # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
+    ent_contrib = np.empty((2 * (n_pos + n_neg), 2 * d), order="F")
+    rel_contrib = np.empty((n_pos + n_neg, d), order="F")
 
-    def terms(tr, dldf_of):
+    def terms(tr, dldf_of, g_h, g_t, g_r):
         """Scores of a triple block, chained into entity-row and phase gradients."""
-        h, r, t = tr[:, 0], tr[:, 1], tr[:, 2]
-        a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(store, h, r, t)
-        f = -modulus.sum(axis=1)
-        dldf = dldf_of(f)
-        nonzero = modulus > 0.0
-        safe = np.where(nonzero, modulus, 1.0)
-        da = np.where(nonzero, -a / safe, 0.0) * dldf[:, None]
-        db = np.where(nonzero, -b / safe, 0.0) * dldf[:, None]
-        gh = np.concatenate([da * cos + db * sin, -da * sin + db * cos], axis=1)
-        gt = np.concatenate([-da, -db], axis=1)
-        gr = da * -(b + t_im) + db * (a + t_re)
-        return f, h, t, r, gh, gt, gr
+        f = np.empty(len(tr))
+        for rows in _row_chunks(len(tr)):
+            a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(
+                store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
+            f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
+            neg_dldf = -dldf_of(f_rows)[:, None]
+            # (da, db) = -(a, b) / modulus * dldf where the modulus is
+            # nonzero and 0 * dldf elsewhere, as (a, b) / modulus, or -0.0,
+            # times -dldf: the same products, sign for sign.
+            zero = ~(modulus > 0.0)
+            np.copyto(modulus, 1.0, where=zero)
+            da = np.divide(a, modulus)
+            np.copyto(da, -0.0, where=zero)
+            da *= neg_dldf
+            db = np.divide(b, modulus, out=modulus)
+            np.copyto(db, -0.0, where=zero)
+            db *= neg_dldf
+            # Rows gr = db (a + t_re) - da (b + t_im), gh = (da cos + db sin,
+            # db cos - da sin) and gt = -(da, db), built in the spent C-ordered
+            # arrays and copied once into the column-major buffers.
+            a += t_re
+            a *= db
+            b += t_im
+            b *= da
+            a -= b
+            g_r[rows] = a
+            gh, gt = g_h[rows], g_t[rows]
+            block = np.multiply(db, cos, out=t_re)
+            block -= np.multiply(da, sin, out=b)
+            gh[:, d:] = block
+            np.multiply(da, cos, out=block)
+            block += np.multiply(db, sin, out=b)
+            gh[:, :d] = block
+            gt[:, :d] = np.negative(da, out=da)
+            gt[:, d:] = np.negative(db, out=db)
+        return f
 
-    f_pos, hp, tp, rp, ghp, gtp, grp = terms(positives, lambda f: -expit(-(eta + f)))
-    f_neg, hn, tn, rn, ghn, gtn, grn = terms(negatives, lambda f: expit(eta + f) / k)
+    f_pos = terms(positives, lambda f: -expit(-(eta + f)),
+                  ent_contrib[:n_pos], ent_contrib[n_pos:2 * n_pos], rel_contrib[:n_pos])
+    f_neg = terms(negatives, lambda f: expit(eta + f) / k,
+                  ent_contrib[2 * n_pos:2 * n_pos + n_neg], ent_contrib[2 * n_pos + n_neg:],
+                  rel_contrib[n_pos:])
     loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
-    ent_rows = np.concatenate([hp, tp, hn, tn])
-    ent_contrib = np.concatenate([ghp, gtp, ghn, gtn])
-    rel_rows = np.concatenate([rp, rn])
-    rel_contrib = np.concatenate([grp, grn])
+    ent_rows = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]])
+    rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
     return loss, {
         "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
         "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
@@ -443,10 +563,16 @@ def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
 # -- optimizer -----------------------------------------------------------------
 
 
-def _first_non_finite_row(rows: np.ndarray, block: np.ndarray) -> int | None:
-    if np.isfinite(block).all():
+def _non_finite_row(rows: np.ndarray, block: np.ndarray) -> int | None:
+    """The id of the first ``block`` row holding a non-finite entry, or None.
+
+    A finite sum proves every entry finite, so the entrywise scan runs only
+    when the sum is not: an entry is inf or nan, or finite entries overflow.
+    """
+    if math.isfinite(block.sum()):
         return None
-    return int(rows[~np.isfinite(block).all(axis=1)][0])
+    bad = ~np.isfinite(block).all(axis=1)
+    return int(rows[bad][0]) if bad.any() else None
 
 
 def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamConfig,
@@ -456,11 +582,12 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
     Both per-matrix step counters advance once per call; rows absent from
     the gradient keep their parameters and moments bitwise unchanged
     (lazy/sparse Adam semantics). Each matrix's touched rows of parameters
-    and moments are gathered once, updated as a block and scattered once.
-    ``project_entities``, if given, maps the updated entity block to the
-    block to store (the translation model's unit-norm projection). A
+    and moments are gathered once, updated in row chunks and scattered
+    once. ``project_entities``, if given, maps the updated entity block to
+    the block to store (the translation model's unit-norm projection). A
     non-finite gradient or updated parameter raises ``NumericError``
-    before anything of that matrix is stored.
+    before anything of that matrix is stored; a bad gradient anywhere is
+    reported before a bad parameter.
     """
     store.step_ent += 1
     store.step_rel += 1
@@ -469,32 +596,35 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         step = store.step_ent if name == "entities" else store.step_rel
         if grad is None or len(grad.rows) == 0:
             continue
-        rows, g = grad.rows, grad.values
-        bad = _first_non_finite_row(rows, g)
-        if bad is not None:
-            raise NumericError(f"non-finite gradient for {name} row {bad}")
-        # In place, but each element sees the same operations in the same
-        # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
-        # p -= lr * m_hat / (sqrt(v_hat) + eps).
-        m_rows = m[rows]
-        m_rows *= config.beta1
-        m_rows += (1.0 - config.beta1) * g
-        v_rows = v[rows]
-        v_rows *= config.beta2
-        g_sq = g * g
-        g_sq *= 1.0 - config.beta2
-        v_rows += g_sq
-        update = m_rows / (1.0 - config.beta1 ** step)
-        update *= config.learning_rate
-        denom = v_rows / (1.0 - config.beta2 ** step)
-        np.sqrt(denom, out=denom)
-        denom += config.epsilon
-        update /= denom
-        p_rows = params[rows]
-        p_rows -= update
-        bad = _first_non_finite_row(rows, p_rows)
-        if bad is not None:
-            raise NumericError(f"non-finite parameter after update: {name} row {bad}")
+        rows = grad.rows
+        m_rows, v_rows, p_rows = m[rows], v[rows], params[rows]
+        bad_param = None
+        for chunk in _row_chunks(len(rows)):
+            g = grad.values[chunk]
+            bad = _non_finite_row(rows[chunk], g)
+            if bad is not None:
+                raise NumericError(f"non-finite gradient for {name} row {bad}")
+            # In place, but each element sees the same operations in the same
+            # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
+            # p -= lr * m_hat / (sqrt(v_hat) + eps).
+            m_chunk, v_chunk, p_chunk = m_rows[chunk], v_rows[chunk], p_rows[chunk]
+            m_chunk *= config.beta1
+            m_chunk += (1.0 - config.beta1) * g
+            v_chunk *= config.beta2
+            g_sq = g * g
+            g_sq *= 1.0 - config.beta2
+            v_chunk += g_sq
+            update = m_chunk / (1.0 - config.beta1 ** step)
+            update *= config.learning_rate
+            denom = v_chunk / (1.0 - config.beta2 ** step)
+            np.sqrt(denom, out=denom)
+            denom += config.epsilon
+            update /= denom
+            p_chunk -= update
+            if bad_param is None:
+                bad_param = _non_finite_row(rows[chunk], p_chunk)
+        if bad_param is not None:
+            raise NumericError(f"non-finite parameter after update: {name} row {bad_param}")
         if project_entities is not None and name == "entities":
             p_rows = project_entities(p_rows)
         m[rows] = m_rows
@@ -536,7 +666,7 @@ def save_store(path, store: EmbeddingStore) -> None:
     header = _HEADER.pack(_MAGIC, _VERSION, code, norm, param_a, param_k,
                           store.n_entities, store.n_relations, store.dim,
                           store.step_ent, store.step_rel)
-    with open(path, "wb") as handle:
+    with atomic_write(path, binary=True) as handle:
         handle.write(header)
         for arr in (store.entities, store.relations, store.m_ent, store.v_ent,
                     store.m_rel, store.v_rel):

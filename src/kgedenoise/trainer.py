@@ -26,6 +26,7 @@ from scipy.special import expit
 
 from . import agent as agent_mod
 from .agent import PolicyParams, compute_reward, reinforce_update, sample_trajectory
+from .atomic import atomic_write
 from .clustering import RelationClusters, kmeans
 from .config import TrainConfig
 from .errors import DataError, NumericError
@@ -73,16 +74,17 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
 
 
 def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
-    """Project updated entity rows back onto the unit L2 sphere.
+    """Project updated entity rows back onto the unit L2 sphere, in place.
 
     The margin objective is degenerate under uniform norm growth, so
     translation training keeps the original method's unit-norm entity
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
+    Rows of norm 0 are left as they are. ``adam_step`` passes its own
+    gathered copy of the rows and stores the returned ``block``.
     """
     norms = np.sqrt((block ** 2).sum(axis=1, keepdims=True))
-    safe = np.where(norms > 0.0, norms, 1.0)
-    return np.where(norms > 0.0, block / safe, block)
+    return np.divide(block, norms, out=block, where=norms > 0.0)
 
 
 @dataclass
@@ -375,7 +377,7 @@ def xscore_baseline(graph: KnowledgeGraph, kind: ModelKind, delta: float,
 
 
 def write_training_curve(path, losses: list[float]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
+    with atomic_write(path) as handle:
         handle.write("epoch,loss\n")
         for epoch, loss in enumerate(losses):
             handle.write(f"{epoch},{loss!r}\n")

@@ -119,6 +119,21 @@ def test_train_xscore_then_evaluate_with_labels(data_dir, tmp_path):
     assert "noise_f1" in report and "noise_f1_score_sweep" in report
 
 
+def test_evaluate_clean_labels_leaves_out_noise_f1(data_dir, tmp_path):
+    ckpt = tmp_path / "random.ckpt"
+    save_store(ckpt, init_embeddings(8, 2, 4, TransE(), seed=0))
+    labels, mask = tmp_path / "labels.tsv", tmp_path / "mask.tsv"
+    labels.write_text("0\n" * 14)
+    mask.write_text("1\n" * 14)
+    report_path = tmp_path / "report.json"
+    code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
+                "--labels", str(labels), "--mask", str(mask), "--out", str(report_path)])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    assert not any(key.startswith("noise_f1") for key in report)
+    assert np.isfinite(report["mrr"])
+
+
 def test_cluster_command(data_dir, tmp_path):
     out = tmp_path / "plain"
     run(["train", "--data", str(data_dir), "--mode", "plain",
@@ -170,6 +185,11 @@ def test_missing_data_exits_two(tmp_path):
     ("joint_kge_epochs", -1), ("agent_mimic_steps", -1), ("relation_cap", -1),
     ("learning_rate", 0.0), ("joint_learning_rate", -0.001), ("agent_learning_rate", -0.01),
     ("norm", "l3"), ("agent_mimic_quantile", 1.5),
+    ("margin", "nan"), ("margin", -1.0), ("eta", "nan"), ("eta", "inf"),
+    ("l2_coeff", -1e-5), ("alpha", "nan"), ("alpha", -0.5), ("lambda1", -0.001),
+    ("lambda2", "-inf"), ("agent_mimic_sharpness", -1.0), ("agent_mimic_sharpness", "nan"),
+    ("agent_baseline_decay", 1.5), ("agent_baseline_decay", "nan"),
+    ("agent_learning_rate", "nan"), ("learning_rate", "inf"), ("delta", "nan"),
 ])
 def test_out_of_range_config_exits_two(data_dir, tmp_path, capsys, key, value):
     code = run(["train", "--data", str(data_dir), "--mode", "plain",

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_graph, random_graph
-from kgedenoise import models
+from kgedenoise import models, trainer
 from kgedenoise.errors import DataError, NumericError
 from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
                                TransE, adam_step, corrupt_batch, init_embeddings,
@@ -226,6 +226,8 @@ def test_accumulate_bitwise_equals_add_at(data):
     shape = (len(rows), width)
     contribs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
     contribs[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    # The loss bodies pass column-major contributions; either order must sum alike.
+    contribs = np.asarray(contribs, order=data.draw(st.sampled_from("CF")))
     # Small cell blocks split the columns into several bincount calls.
     cell_block = data.draw(st.sampled_from([1, 7, 64, models._CELL_BLOCK]))
     with mock.patch.object(models, "_CELL_BLOCK", cell_block):
@@ -241,6 +243,66 @@ def test_accumulate_single_row():
     assert grad.rows.tolist() == [4]
     assert np.array_equal(grad.values.view(np.uint64),
                           add_at_reference(np.array([4, 4, 4]), contribs)[1].view(np.uint64))
+
+
+def bits(array):
+    return np.ascontiguousarray(array, dtype=np.float64).view(np.uint64)
+
+
+def chunked_training_run(kind, row_block):
+    """Two loss_and_grad + adam_step rounds with ``_ROW_BLOCK`` set to ``row_block``.
+
+    Entities 0 and 1 are equal and relation 0 is the identity (zero offset,
+    zero phase, zero scale), so the extra positives (0, 0, 1) and (1, 0, 0)
+    have an exactly zero residual: the zero-modulus and zero-norm branches run.
+    """
+    graph = random_graph(np.random.default_rng(21), n_entities=12, n_relations=3,
+                         n_train=24, n_valid=2, n_test=2)
+    store = init_embeddings(12, 3, 5, kind, seed=6)
+    store.entities[1] = store.entities[0]
+    store.relations[0] = 0.0
+    batch = np.concatenate([graph.train, [[0, 0, 1], [1, 0, 0]]])
+    project = trainer._normalize_entity_rows if isinstance(kind, TransE) else None
+    losses, grads = [], []
+    with mock.patch.object(models, "_ROW_BLOCK", row_block):
+        for step in range(2):
+            loss, grad = loss_and_grad(kind, store, graph, batch, np.random.default_rng(step))
+            adam_step(store, grad, AdamConfig(learning_rate=0.05), project)
+            losses.append(loss)
+            grads.append(grad)
+    return losses, grads, store
+
+
+@pytest.mark.parametrize("kind", [TransE("l1", 1.0), TransE("l2", 1.0),
+                                  DistMult(l2_coeff=1e-3, negatives=3),
+                                  RotatE(margin=2.0, negatives=3)],
+                         ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+@pytest.mark.parametrize("row_block", [1, 7])
+def test_row_chunks_are_bitwise_equal_to_one_chunk(kind, row_block):
+    # 26 positives and up to 78 negatives: 1000 rows is a single chunk.
+    expected_losses, expected_grads, expected = chunked_training_run(kind, 1000)
+    losses, grads, store = chunked_training_run(kind, row_block)
+    assert bits(losses).tolist() == bits(expected_losses).tolist()
+    for grad, expected_grad in zip(grads, expected_grads):
+        for name in ("entities", "relations"):
+            assert np.array_equal(grad[name].rows, expected_grad[name].rows)
+            assert np.array_equal(bits(grad[name].values), bits(expected_grad[name].values))
+    for (_, *matrices), (_, *expected_matrices) in zip(store.matrices(), expected.matrices()):
+        for matrix, expected_matrix in zip(matrices, expected_matrices):
+            assert np.array_equal(bits(matrix), bits(expected_matrix))
+
+
+def test_rotate_trig_is_taken_once_per_call():
+    # The relation table's trig is taken once per loss call, however many
+    # chunks gather rows from it.
+    kind = RotatE(margin=2.0, negatives=3)
+    graph = random_graph(np.random.default_rng(3), n_entities=6, n_relations=2,
+                         n_train=10, n_valid=2, n_test=2)
+    store = init_embeddings(6, 2, 4, kind, seed=4)
+    with mock.patch.object(models, "_rotate_trig", wraps=models._rotate_trig) as trig, \
+            mock.patch.object(models, "_ROW_BLOCK", 4):
+        loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(0))
+    assert trig.call_count == 1
 
 
 # -- losses: exact values ---------------------------------------------------------------
@@ -461,6 +523,29 @@ def test_adam_rejects_non_finite_gradient():
     bad = {"entities": SparseGrad(np.array([1]), np.array([[np.nan, 0.0]]))}
     with pytest.raises(NumericError, match="entities row 1"):
         adam_step(store, bad, AdamConfig())
+
+
+def test_adam_accepts_finite_gradient_whose_sum_overflows():
+    # The finite check sums a block first; an overflowing sum of finite
+    # entries must fall through to the entrywise scan, not raise.
+    store = init_embeddings(3, 1, 2, TransE(), seed=0)
+    before = store.entities.copy()
+    huge = {"entities": SparseGrad(np.array([0, 2]), np.array([[1e308, 1.0], [1e308, 1.0]]))}
+    with np.errstate(over="ignore"):  # the sum and g*g overflow by design
+        adam_step(store, huge, AdamConfig())
+    assert np.isfinite(store.entities).all()
+    assert (store.entities[[0, 2], 1] != before[[0, 2], 1]).all()
+
+
+@pytest.mark.parametrize("row_block", [1, 7, 1000])
+def test_adam_reports_first_bad_gradient_row_across_chunks(row_block):
+    store = init_embeddings(20, 1, 2, TransE(), seed=0)
+    values = np.ones((20, 2))
+    values[[9, 13], 1] = [np.inf, np.nan]
+    with mock.patch.object(models, "_ROW_BLOCK", row_block), \
+            pytest.raises(NumericError, match="entities row 9$"):
+        adam_step(store, {"entities": SparseGrad(np.arange(20), values)}, AdamConfig())
+    assert store.step_ent == 1 and not store.m_ent.any()
 
 
 def test_training_step_deterministic(tiny_graph):
