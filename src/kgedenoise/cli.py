@@ -127,6 +127,10 @@ def cmd_train(args) -> int:
 def cmd_evaluate(args) -> int:
     graph = _load_dir(args.graph)
     store = load_store(args.checkpoint)
+    if (store.n_entities, store.n_relations) != (graph.n_entities, graph.n_relations):
+        raise DataError(f"checkpoint has {store.n_entities} entities and {store.n_relations} "
+                        f"relations; the data directory has {graph.n_entities} and "
+                        f"{graph.n_relations}")
     kind = store.kind
 
     lp = link_prediction(kind, store, graph)

@@ -15,14 +15,21 @@ positive (RotatE). Every loss draws its negatives through
 ``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
 
+Entity and relation rows of one width (TransE, DistMult) share one
+(|E|+|R|, d) table of parameters and one per Adam moment, relation r at row
+|E|+r; their gradient is one ``SparseGrad`` keyed ``"entities"`` whose rows
+from |E| on are relations. RotatE's (|E|, 2d) and (|R|, d) tables have
+gradients keyed ``"entities"`` and ``"relations"``.
+
 A training step works in cache-sized pieces. Each loss body goes through
 its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
-scores into a batch-wide vector and gradient rows into one column-major
-contribution buffer; RotatE takes the trig of the relation table once per
-call. ``_accumulate`` sums the buffer's rows per touched row with
-``np.bincount`` over column-major cells, and ``adam_step`` updates the
-gathered rows chunk by chunk before one scatter. Losses, gradients and
-stores are bitwise equal to an unchunked, row-major step.
+scores into a batch-wide vector and gradient rows into a column-major
+contribution buffer per table; RotatE takes the trig of the relation table
+once per call. ``_accumulate`` sums a buffer's rows per touched row with
+``np.bincount`` over column-major cells, and ``adam_step`` updates each
+table's gathered rows chunk by chunk before one scatter. Losses, gradients
+and stores are bitwise equal to an unchunked, row-major step over separate
+entity and relation matrices. ``score_batch`` scores in the same chunks.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -32,12 +39,13 @@ Checkpoint layout (all little-endian, documented here and in README):
     norm    u8       1 or 2 for TransE's norm, 0 otherwise
     param_a f64      margin (TransE/RotatE) or l2 coefficient (DistMult)
     param_k u32      negatives per positive (0 for TransE)
-    n_ent   u64 | n_rel u64 | dim u64 | step_ent u64 | step_rel u64
+    n_ent   u64 | n_rel u64 | dim u64 | step u64 | step u64
     entities, relations, m_ent, v_ent, m_rel, v_rel  raw <f8 matrices
 
-``load_store`` refuses a file whose remaining size differs from the
-matrix bytes its header declares, before it reads or allocates any matrix,
-and a header whose norm or negatives field is invalid for its kind.
+The one Adam step count is written twice. ``load_store`` refuses a file
+whose remaining size differs from the matrix bytes its header declares,
+before it reads or allocates any matrix, and a header whose step counts
+differ or whose norm or negatives field is invalid for its kind.
 """
 
 from __future__ import annotations
@@ -103,41 +111,42 @@ class AdamConfig:
 
 
 class EmbeddingStore:
-    """Entity/relation parameter matrices plus per-matrix Adam state.
+    """Entity/relation parameters plus their Adam state, in one table or two.
+
+    ``tables`` lists (gradient key, parameters, m, v) per table, laid out as
+    the module docstring says; ``entities``, ``relations`` and their moments
+    are row views of them. One Adam step count serves every table.
 
     Mutation is single-writer; scoring against a store that is not being
     updated is safe for any number of concurrent readers.
     """
 
     def __init__(self, kind: ModelKind, dim: int, entities: np.ndarray, relations: np.ndarray):
-        self.kind = kind
-        self.dim = dim
-        self.entities = entities
-        self.relations = relations
-        self.m_ent = np.zeros_like(entities)
-        self.v_ent = np.zeros_like(entities)
-        self.m_rel = np.zeros_like(relations)
-        self.v_rel = np.zeros_like(relations)
-        self.step_ent = 0
-        self.step_rel = 0
+        shared = entities.shape[1] == relations.shape[1]
+        params = [np.concatenate([entities, relations])] if shared else [entities, relations]
+        self._adopt(kind, dim, len(entities),
+                    [(p, np.zeros_like(p), np.zeros_like(p)) for p in params], 0)
 
-    @property
-    def n_entities(self) -> int:
-        return self.entities.shape[0]
+    @classmethod
+    def from_tables(cls, kind: ModelKind, dim: int, n_entities: int, tables,
+                    step: int = 0) -> "EmbeddingStore":
+        """A store holding the given (parameters, m, v) tables, uncopied."""
+        store = cls.__new__(cls)
+        store._adopt(kind, dim, n_entities, tables, step)
+        return store
 
-    @property
-    def n_relations(self) -> int:
-        return self.relations.shape[0]
+    def _adopt(self, kind, dim, n_entities, tables, step) -> None:
+        self.kind, self.dim, self.step = kind, dim, step
+        self.tables = [(name, *arrays) for name, arrays in zip(("entities", "relations"), tables)]
+        if len(tables) == 1:
+            tables = [[a[:n_entities] for a in tables[0]], [a[n_entities:] for a in tables[0]]]
+        (self.entities, self.m_ent, self.v_ent), (self.relations, self.m_rel, self.v_rel) = tables
+        self.n_entities, self.n_relations = len(self.entities), len(self.relations)
 
     def copy(self) -> "EmbeddingStore":
-        dup = EmbeddingStore(self.kind, self.dim, self.entities.copy(), self.relations.copy())
-        dup.m_ent = self.m_ent.copy()
-        dup.v_ent = self.v_ent.copy()
-        dup.m_rel = self.m_rel.copy()
-        dup.v_rel = self.v_rel.copy()
-        dup.step_ent = self.step_ent
-        dup.step_rel = self.step_rel
-        return dup
+        return EmbeddingStore.from_tables(self.kind, self.dim, self.n_entities,
+                                          [[a.copy() for a in table[1:]] for table in self.tables],
+                                          self.step)
 
     def matrices(self):
         return (("entities", self.entities, self.m_ent, self.v_ent),
@@ -149,18 +158,18 @@ def init_embeddings(n_entities: int, n_relations: int, dim: int, kind: ModelKind
     """Uniform init in [-6/sqrt(d), 6/sqrt(d)]; rotation phases in [0, 2pi).
 
     Entities are drawn before relations, so a fixed seed reproduces the
-    store bit for bit.
+    store bit for bit; a shared table's one draw gives the same numbers.
     """
     if dim < 1:
         raise DataError("embedding dimension must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    entities = rng.uniform(-bound, bound, size=(n_entities, entity_width(kind, dim)))
     if isinstance(kind, RotatE):
-        relations = rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim))
-    else:
-        relations = rng.uniform(-bound, bound, size=(n_relations, dim))
-    return EmbeddingStore(kind, dim, entities, relations)
+        return EmbeddingStore(kind, dim, rng.uniform(-bound, bound, size=(n_entities, 2 * dim)),
+                              rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim)))
+    table = rng.uniform(-bound, bound, size=(n_entities + n_relations, dim))
+    return EmbeddingStore.from_tables(kind, dim, n_entities,
+                                      [(table, np.zeros_like(table), np.zeros_like(table))])
 
 
 # -- scoring -------------------------------------------------------------------
@@ -200,18 +209,21 @@ def _rotate_parts(store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: 
 
 
 def score_batch(kind: ModelKind, store: EmbeddingStore, triples: np.ndarray) -> np.ndarray:
-    """Scores for an (n, 3) array of id triples."""
+    """Scores for an (n, 3) array of id triples, computed in row chunks."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    h, r, t = triples[:, 0], triples[:, 1], triples[:, 2]
-    if isinstance(kind, TransE):
-        delta = store.entities[h] + store.relations[r] - store.entities[t]
-        if kind.norm == "l1":
-            return -np.abs(delta).sum(axis=1)
-        return -np.sqrt((delta * delta).sum(axis=1))
-    if isinstance(kind, DistMult):
-        return (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
-    _, _, modulus, *_ = _rotate_parts(store, _rotate_trig(store), h, r, t)
-    return -modulus.sum(axis=1)
+    out, trig = np.empty(len(triples)), None
+    for rows in _row_chunks(len(triples)):
+        h, r, t = triples[rows].T
+        if isinstance(kind, TransE):
+            delta = store.entities[h] + store.relations[r] - store.entities[t]
+            out[rows] = (-np.abs(delta).sum(axis=1) if kind.norm == "l1"
+                         else -np.sqrt((delta * delta).sum(axis=1)))
+        elif isinstance(kind, DistMult):
+            out[rows] = (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
+        else:
+            trig = trig or _rotate_trig(store)  # once per call
+            out[rows] = -_rotate_parts(store, trig, h, r, t)[2].sum(axis=1)
+    return out
 
 
 def score(kind: ModelKind, store: EmbeddingStore, head: int, relation: int, tail: int) -> float:
@@ -317,7 +329,7 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
 
 @dataclass
 class SparseGrad:
-    """Gradient over the touched rows of one parameter matrix."""
+    """Gradient over the touched rows of one parameter table."""
 
     rows: np.ndarray    # (k,) unique row ids, ascending
     values: np.ndarray  # (k, width)
@@ -386,7 +398,7 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
     negatives = corrupt_batch(graph, positives, rng, 1)
-    ent, rel = store.entities, store.relations
+    ent, rel, n_ent = store.entities, store.relations, store.n_entities
     n, r = len(positives), positives[:, 1]
 
     def parts(tr, rel_rows):
@@ -399,13 +411,11 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
         return norm, np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
 
     violation = np.empty(n)
-    # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), and g_pos - g_neg.
-    # Inactive rows contribute zeros; their signs cannot reach the sums,
-    # which start from +0.0.
-    ent_contrib = np.empty((4 * n, store.dim), order="F")
-    rel_contrib = np.empty((n, store.dim), order="F")
-    g_hp, g_tp = ent_contrib[:n], ent_contrib[n:2 * n]
-    g_hn, g_tn = ent_contrib[2 * n:3 * n], ent_contrib[3 * n:]
+    # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
+    # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
+    # reach the sums, which start from +0.0.
+    contrib = np.empty((5 * n, store.dim), order="F")
+    g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
 
     def chunk(rows):
         rel_rows = rel[r[rows]]
@@ -419,18 +429,16 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
         g_neg[inactive] = 0.0
         g_hp[rows] = g_pos
         g_tn[rows] = g_neg
-        rel_contrib[rows] = g_pos - g_neg
+        g_r[rows] = g_pos - g_neg
         g_tp[rows] = np.negative(g_pos, out=g_pos)
         g_hn[rows] = np.negative(g_neg, out=g_neg)
 
     for rows in _row_chunks(n):
         chunk(rows)
     loss = float(violation[violation > 0.0].sum())
-    ent_rows = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]])
-    return loss, {
-        "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
-        "relations": _accumulate(r, rel_contrib, store.n_relations),
-    }
+    ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
+                          r + n_ent])
+    return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations)}
 
 
 def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
@@ -442,15 +450,14 @@ def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
     n = len(labeled)
 
     z = np.empty(n)
-    # Rows h then t of the labeled triples.
-    ent_contrib = np.empty((2 * n, store.dim), order="F")
-    rel_contrib = np.empty((n, store.dim), order="F")
-    g_h, g_t = ent_contrib[:n], ent_contrib[n:]
+    # Rows h, t and r of the labeled triples.
+    contrib = np.empty((3 * n, store.dim), order="F")
+    g_h, g_t, g_r = contrib[:n], contrib[n:2 * n], contrib[2 * n:]
 
     def chunk(rows):
         # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
         # (dldf eh) et, built in a C-ordered block and copied into the
-        # column-major buffers.
+        # column-major buffer.
         eh, er, et = ent[h[rows]], rel[r[rows]], ent[t[rows]]
         block = eh * er
         block *= et
@@ -462,20 +469,20 @@ def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
         g_h[rows] = block
         eh *= dldf
         g_t[rows] = np.multiply(eh, er, out=block)
-        rel_contrib[rows] = np.multiply(eh, et, out=block)
+        g_r[rows] = np.multiply(eh, et, out=block)
 
     for rows in _row_chunks(n):
         chunk(rows)
     loss = float(_softplus(z).sum())
-    ent_grad = _accumulate(np.concatenate([h, t]), ent_contrib, store.n_entities)
-    rel_grad = _accumulate(r, rel_contrib, store.n_relations)
+    n_ent = store.n_entities
+    grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
 
-    # L2 term over the distinct rows this batch touches; each row counted once.
-    ent_touched, rel_touched = ent[ent_grad.rows], rel[rel_grad.rows]
-    loss += kind.l2_coeff * float((ent_touched ** 2).sum() + (rel_touched ** 2).sum())
-    ent_grad.values += 2.0 * kind.l2_coeff * ent_touched
-    rel_grad.values += 2.0 * kind.l2_coeff * rel_touched
-    return loss, {"entities": ent_grad, "relations": rel_grad}
+    # L2 term over the distinct touched rows; entity and relation rows summed apart.
+    touched = store.tables[0][1][grad.rows]
+    split = np.searchsorted(grad.rows, n_ent)
+    loss += kind.l2_coeff * float((touched[:split] ** 2).sum() + (touched[split:] ** 2).sum())
+    grad.values += 2.0 * kind.l2_coeff * touched
+    return loss, {"entities": grad}
 
 
 def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
@@ -563,37 +570,42 @@ def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
 # -- optimizer -----------------------------------------------------------------
 
 
-def _non_finite_row(rows: np.ndarray, block: np.ndarray) -> int | None:
-    """The id of the first ``block`` row holding a non-finite entry, or None.
+def _non_finite_row(store: EmbeddingStore, name: str, rows: np.ndarray,
+                    block: np.ndarray) -> str | None:
+    """``<matrix> row <id>`` of the first non-finite ``block`` row, or None.
 
     A finite sum proves every entry finite, so the entrywise scan runs only
     when the sum is not: an entry is inf or nan, or finite entries overflow.
+    Rows from |E| on of a shared table are named as relations.
     """
     if math.isfinite(block.sum()):
         return None
     bad = ~np.isfinite(block).all(axis=1)
-    return int(rows[bad][0]) if bad.any() else None
+    if not bad.any():
+        return None
+    row = int(rows[bad][0])
+    if name == "entities" and row >= store.n_entities:
+        name, row = "relations", row - store.n_entities
+    return f"{name} row {row}"
 
 
 def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamConfig,
               project_entities=None) -> None:
     """Bias-corrected Adam update on touched rows only.
 
-    Both per-matrix step counters advance once per call; rows absent from
-    the gradient keep their parameters and moments bitwise unchanged
-    (lazy/sparse Adam semantics). Each matrix's touched rows of parameters
+    The store's step count advances once per call; rows absent from the
+    gradient keep their parameters and moments bitwise unchanged
+    (lazy/sparse Adam semantics). Each table's touched rows of parameters
     and moments are gathered once, updated in row chunks and scattered
-    once. ``project_entities``, if given, maps the updated entity block to
-    the block to store (the translation model's unit-norm projection). A
-    non-finite gradient or updated parameter raises ``NumericError``
-    before anything of that matrix is stored; a bad gradient anywhere is
-    reported before a bad parameter.
+    once. ``project_entities``, if given, projects updated entity rows in
+    place (TransE's unit-norm projection), never a shared table's relation
+    rows. A non-finite gradient or updated parameter raises
+    ``NumericError`` before anything of that table is stored; a bad
+    gradient anywhere is reported before a bad parameter.
     """
-    store.step_ent += 1
-    store.step_rel += 1
-    for name, params, m, v in store.matrices():
+    store.step += 1
+    for name, params, m, v in store.tables:
         grad = grads.get(name)
-        step = store.step_ent if name == "entities" else store.step_rel
         if grad is None or len(grad.rows) == 0:
             continue
         rows = grad.rows
@@ -601,9 +613,9 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         bad_param = None
         for chunk in _row_chunks(len(rows)):
             g = grad.values[chunk]
-            bad = _non_finite_row(rows[chunk], g)
+            bad = _non_finite_row(store, name, rows[chunk], g)
             if bad is not None:
-                raise NumericError(f"non-finite gradient for {name} row {bad}")
+                raise NumericError(f"non-finite gradient for {bad}")
             # In place, but each element sees the same operations in the same
             # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
             # p -= lr * m_hat / (sqrt(v_hat) + eps).
@@ -614,19 +626,19 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
             g_sq = g * g
             g_sq *= 1.0 - config.beta2
             v_chunk += g_sq
-            update = m_chunk / (1.0 - config.beta1 ** step)
+            update = m_chunk / (1.0 - config.beta1 ** store.step)
             update *= config.learning_rate
-            denom = v_chunk / (1.0 - config.beta2 ** step)
+            denom = v_chunk / (1.0 - config.beta2 ** store.step)
             np.sqrt(denom, out=denom)
             denom += config.epsilon
             update /= denom
             p_chunk -= update
             if bad_param is None:
-                bad_param = _non_finite_row(rows[chunk], p_chunk)
+                bad_param = _non_finite_row(store, name, rows[chunk], p_chunk)
         if bad_param is not None:
-            raise NumericError(f"non-finite parameter after update: {name} row {bad_param}")
+            raise NumericError(f"non-finite parameter after update: {bad_param}")
         if project_entities is not None and name == "entities":
-            p_rows = project_entities(p_rows)
+            project_entities(p_rows[:np.searchsorted(rows, store.n_entities)])
         m[rows] = m_rows
         v[rows] = v_rows
         params[rows] = p_rows
@@ -665,7 +677,7 @@ def save_store(path, store: EmbeddingStore) -> None:
     code, norm, param_a, param_k = _kind_to_fields(store.kind)
     header = _HEADER.pack(_MAGIC, _VERSION, code, norm, param_a, param_k,
                           store.n_entities, store.n_relations, store.dim,
-                          store.step_ent, store.step_rel)
+                          store.step, store.step)
     with atomic_write(path, binary=True) as handle:
         handle.write(header)
         for arr in (store.entities, store.relations, store.m_ent, store.v_ent,
@@ -676,13 +688,16 @@ def save_store(path, store: EmbeddingStore) -> None:
 def read_matrices(handle, path, shapes) -> list[np.ndarray]:
     """Read raw <f8 matrices of the given shapes that fill the rest of ``handle``.
 
-    The declared size is checked against the bytes left in the file before
-    anything is read, so a forged header cannot demand a huge allocation.
+    The declared size and every dimension are checked against the bytes
+    left in the file before anything is read, so a forged header cannot
+    demand a huge allocation or a matrix too large to shape.
     """
     declared = 8 * sum(rows * cols for rows, cols in shapes)
     left = os.fstat(handle.fileno()).st_size - handle.tell()
     if declared != left:
         raise DataError(f"{path}: header declares {declared} matrix bytes but {left} follow")
+    if max(max(shape) for shape in shapes) > left:
+        raise DataError(f"{path}: header declares a matrix dimension above the file size")
     matrices = []
     for rows, cols in shapes:
         data = handle.read(rows * cols * 8)
@@ -701,13 +716,14 @@ def load_store(path) -> EmbeddingStore:
             raise DataError(f"{path}: not a model checkpoint (bad magic)")
         if version != _VERSION:
             raise DataError(f"{path}: unsupported checkpoint version {version}")
+        if step_e != step_r:
+            raise DataError(f"{path}: step counts differ ({step_e} and {step_r})")
         kind = _kind_from_fields(code, norm, param_a, param_k)
         ent_shape = (n_ent, entity_width(kind, dim))
         rel_shape = (n_rel, dim)
-        entities, relations, m_ent, v_ent, m_rel, v_rel = read_matrices(
+        entities, relations, *moments = read_matrices(
             handle, path, [ent_shape, rel_shape, ent_shape, ent_shape, rel_shape, rel_shape])
     store = EmbeddingStore(kind, dim, entities, relations)
-    store.m_ent, store.v_ent, store.m_rel, store.v_rel = m_ent, v_ent, m_rel, v_rel
-    store.step_ent = step_e
-    store.step_rel = step_r
+    store.m_ent[...], store.v_ent[...], store.m_rel[...], store.v_rel[...] = moments
+    store.step = step_e
     return store

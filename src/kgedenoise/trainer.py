@@ -80,8 +80,8 @@ def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
     translation training keeps the original method's unit-norm entity
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
-    Rows of norm 0 are left as they are. ``adam_step`` passes its own
-    gathered copy of the rows and stores the returned ``block``.
+    Rows of norm 0 are left as they are. ``adam_step`` passes a view of
+    the entity rows it gathered and stores them after this returns.
     """
     norms = np.sqrt((block ** 2).sum(axis=1, keepdims=True))
     return np.divide(block, norms, out=block, where=norms > 0.0)

@@ -38,7 +38,7 @@ def test_failed_checkpoint_write_keeps_old_checkpoint(tmp_path):
         save_store(path, store)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
-    assert load_store(path).step_ent == 0
+    assert load_store(path).step == 0
 
 
 def test_failed_flag_write_keeps_old_sidecar(tmp_path):

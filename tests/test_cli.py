@@ -92,6 +92,23 @@ def test_evaluate_untrained_checkpoint_finite(data_dir, tmp_path):
     assert np.isfinite(report["classification_accuracy"])
 
 
+@pytest.mark.parametrize("n_entities, n_relations", [(4, 2), (20, 2), (8, 3)],
+                         ids=["fewer-entities", "more-entities", "more-relations"])
+def test_evaluate_checkpoint_of_another_graph_exits_two(data_dir, tmp_path, capsys,
+                                                        n_entities, n_relations):
+    # data_dir has 8 entities and 2 relations. A smaller checkpoint used to
+    # end in an IndexError; a larger one scored rows the graph never named.
+    ckpt = tmp_path / "other.ckpt"
+    save_store(ckpt, init_embeddings(n_entities, n_relations, 4, TransE(), seed=0))
+    code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
+                "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert (f"data error: checkpoint has {n_entities} entities and {n_relations} relations; "
+            "the data directory has 8 and 2") in err
+    assert "Traceback" not in err and not (tmp_path / "report.json").exists()
+
+
 def test_train_strl_writes_policy_and_mask(data_dir, tmp_path):
     out = tmp_path / "strl"
     code = run(["train", "--data", str(data_dir), "--mode", "strl",

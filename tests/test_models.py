@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -27,6 +28,23 @@ def make_store(kind, entities, relations, dim=None):
     return EmbeddingStore(kind, dim, entities, relations)
 
 
+def split_grads(store, grads):
+    """Per-matrix gradients: the rows from |E| on of a shared table's
+    ``"entities"`` gradient are relations."""
+    if "relations" in grads:
+        return grads
+    grad, n_ent = grads["entities"], store.n_entities
+    split = np.searchsorted(grad.rows, n_ent)
+    return {"entities": SparseGrad(grad.rows[:split], grad.values[:split]),
+            "relations": SparseGrad(grad.rows[split:] - n_ent, grad.values[split:])}
+
+
+ALL_KINDS = pytest.mark.parametrize(
+    "kind", [TransE("l1", 1.0), TransE("l2", 1.0), DistMult(l2_coeff=1e-3, negatives=3),
+             RotatE(margin=2.0, negatives=3)],
+    ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+
+
 # -- initialization -----------------------------------------------------------------
 
 
@@ -48,6 +66,22 @@ def test_init_rotation_phases_and_width():
     assert store.relations.shape == (4, 8)
     assert store.relations.min() >= 0.0
     assert store.relations.max() < 2.0 * np.pi
+
+
+def test_shared_table_layout():
+    # TransE and DistMult rows share one table, relation r at row |E| + r;
+    # RotatE's rows differ in width and keep two tables.
+    for kind in (TransE(), DistMult()):
+        store = init_embeddings(5, 3, 4, kind, seed=1)
+        (name, params, m, v), = store.tables
+        assert name == "entities" and params.shape == m.shape == v.shape == (8, 4)
+        for view, table in ((store.entities, params), (store.m_ent, m), (store.v_ent, v)):
+            assert view.base is table and np.shares_memory(view, table[:5])
+        for view, table in ((store.relations, params), (store.m_rel, m), (store.v_rel, v)):
+            assert view.base is table and np.shares_memory(view, table[5:])
+    store = init_embeddings(5, 3, 4, RotatE(), seed=1)
+    assert [(name, p.shape) for name, p, _, _ in store.tables] == [("entities", (5, 8)),
+                                                                   ("relations", (3, 4))]
 
 
 def test_init_deterministic():
@@ -114,6 +148,32 @@ def test_one_vs_all_scorers_match_batch():
         head_triples = np.array([[h, 1, 5] for h in range(9)])
         np.testing.assert_allclose(all_tails, score_batch(kind, store, tail_triples), rtol=1e-12)
         np.testing.assert_allclose(all_heads, score_batch(kind, store, head_triples), rtol=1e-12)
+
+
+@ALL_KINDS
+def test_score_batch_chunks_are_bitwise_equal_to_one_chunk(kind):
+    store = init_embeddings(12, 3, 5, kind, seed=6)
+    triples = np.random.default_rng(2).integers(0, [12, 3, 12], size=(50, 3))
+    expected = score_batch(kind, store, triples)
+    with mock.patch.object(models, "_ROW_BLOCK", 7), \
+            mock.patch.object(models, "_rotate_trig", wraps=models._rotate_trig) as trig:
+        chunked = score_batch(kind, store, triples)
+    assert np.array_equal(bits(chunked), bits(expected))
+    assert trig.call_count == (1 if isinstance(kind, RotatE) else 0)
+    assert score_batch(kind, store, np.empty((0, 3))).shape == (0,)
+
+
+def test_score_batch_peak_memory_is_bounded():
+    # FB15k-237 shape: scoring the whole batch at once peaked at 122 MB here.
+    store = init_embeddings(14_541, 237, 100, RotatE(), seed=0)
+    triples = np.random.default_rng(1).integers(0, [14_541, 237, 14_541], size=(20_000, 3))
+    tracemalloc.start()
+    try:
+        score_batch(RotatE(), store, triples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2 ** 20
 
 
 # -- negative sampling ----------------------------------------------------------------
@@ -284,12 +344,28 @@ def test_row_chunks_are_bitwise_equal_to_one_chunk(kind, row_block):
     losses, grads, store = chunked_training_run(kind, row_block)
     assert bits(losses).tolist() == bits(expected_losses).tolist()
     for grad, expected_grad in zip(grads, expected_grads):
+        grad, expected_grad = split_grads(store, grad), split_grads(store, expected_grad)
         for name in ("entities", "relations"):
             assert np.array_equal(grad[name].rows, expected_grad[name].rows)
             assert np.array_equal(bits(grad[name].values), bits(expected_grad[name].values))
     for (_, *matrices), (_, *expected_matrices) in zip(store.matrices(), expected.matrices()):
         for matrix, expected_matrix in zip(matrices, expected_matrices):
             assert np.array_equal(bits(matrix), bits(expected_matrix))
+
+
+@pytest.mark.parametrize("kind", [TransE("l1"), DistMult(negatives=3)],
+                         ids=["transe", "distmult"])
+def test_shared_table_batch_makes_one_accumulate_and_one_adam_pass(kind):
+    graph = random_graph(np.random.default_rng(3), n_entities=6, n_relations=2,
+                         n_train=10, n_valid=2, n_test=2)
+    store = init_embeddings(6, 2, 4, kind, seed=4)
+    with mock.patch.object(models, "_accumulate", wraps=models._accumulate) as accumulate:
+        _, grads = loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(0))
+    assert accumulate.call_count == 1 and list(grads) == ["entities"]
+    # adam_step walks the row chunks of each table it gathers exactly once.
+    with mock.patch.object(models, "_row_chunks", wraps=models._row_chunks) as chunks:
+        adam_step(store, grads, AdamConfig())
+    assert [c.args for c in chunks.call_args_list] == [(len(grads["entities"].rows),)]
 
 
 def test_rotate_trig_is_taken_once_per_call():
@@ -350,6 +426,25 @@ def test_rotation_loss_exact_value():
     assert loss == expected
 
 
+def test_distmult_loss_exact_value():
+    # The L2 term sums the touched entity rows and the touched relation rows
+    # apart, as when they were separate matrices, even in the shared table.
+    # A large coefficient keeps the last bits of that term in the loss, and
+    # with this store one sum over all touched rows rounds differently.
+    kind = DistMult(l2_coeff=1000.0, negatives=3)
+    graph = random_graph(np.random.default_rng(3), n_entities=40, n_relations=5,
+                         n_train=30, n_valid=2, n_test=2)
+    store = init_embeddings(40, 5, 16, kind, seed=2)
+    loss, _ = loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(8))
+    negatives = corrupt_batch(graph, graph.train, np.random.default_rng(8), kind.negatives)
+    labeled = np.concatenate([graph.train, negatives])
+    neg_y = np.repeat([-1.0, 1.0], [len(graph.train), len(negatives)])
+    ent_rows, rel_rows = np.unique(labeled[:, [0, 2]]), np.unique(labeled[:, 1])
+    l2 = (store.entities[ent_rows] ** 2).sum() + (store.relations[rel_rows] ** 2).sum()
+    expected = float(np.logaddexp(0.0, neg_y * score_batch(kind, store, labeled)).sum())
+    assert loss == expected + kind.l2_coeff * float(l2)
+
+
 # -- losses: finite-difference oracle -----------------------------------------------------
 
 
@@ -359,9 +454,9 @@ def perturbed_loss(kind, store, graph, positives, seed):
     return loss
 
 
-def dense_grad(grads, shape_ent, shape_rel):
-    out = {"entities": np.zeros(shape_ent), "relations": np.zeros(shape_rel)}
-    for name, grad in grads.items():
+def dense_grad(store, grads):
+    out = {"entities": np.zeros(store.entities.shape), "relations": np.zeros(store.relations.shape)}
+    for name, grad in split_grads(store, grads).items():
         out[name][grad.rows] = grad.values
     return out
 
@@ -408,7 +503,7 @@ def run_fd_check(kind, dim, seed):
         return None
 
     _, grads = loss_and_grad(kind, store, graph, positives, np.random.default_rng(seed))
-    analytic = dense_grad(grads, store.entities.shape, store.relations.shape)
+    analytic = dense_grad(store, grads)
 
     worst = 0.0
     for name in ("entities", "relations"):
@@ -452,8 +547,33 @@ def test_gradient_rows_cover_only_touched_rows(tiny_graph):
     store = init_embeddings(7, 2, 4, kind, seed=1)
     batch = tiny_graph.train[:2]
     _, grads = loss_and_grad(kind, store, tiny_graph, batch, np.random.default_rng(0))
-    touched_rel = set(grads["relations"].rows.tolist())
+    touched_rel = set(split_grads(store, grads)["relations"].rows.tolist())
     assert touched_rel <= set(batch[:, 1].tolist())
+
+
+@ALL_KINDS
+def test_training_step_leaves_untouched_rows_bitwise_unchanged(kind):
+    graph = random_graph(np.random.default_rng(5), n_entities=30, n_relations=6,
+                         n_train=40, n_valid=2, n_test=2)
+    store = init_embeddings(30, 6, 4, kind, seed=2)
+    store.m_ent += 0.5  # nonzero moments, so an overwrite would show
+    store.v_rel += 0.25
+    before = store.copy()
+    batch = graph.train[:3]
+    _, grads = loss_and_grad(kind, store, graph, batch, np.random.default_rng(9))
+    project = trainer._normalize_entity_rows if isinstance(kind, TransE) else None
+    adam_step(store, grads, AdamConfig(learning_rate=0.05), project)
+    # The loss draws its negatives first, so the same seed redraws them.
+    count = 1 if isinstance(kind, TransE) else kind.negatives
+    touched = np.concatenate([batch, corrupt_batch(graph, batch, np.random.default_rng(9), count)])
+    untouched = {"entities": np.setdiff1d(np.arange(30), touched[:, [0, 2]]),
+                 "relations": np.setdiff1d(np.arange(6), touched[:, 1])}
+    assert len(untouched["entities"]) > 0 and len(untouched["relations"]) > 0
+    for (name, *old), (_, *new) in zip(before.matrices(), store.matrices()):
+        for old_matrix, new_matrix in zip(old, new):
+            rows = untouched[name]
+            assert np.array_equal(bits(old_matrix[rows]), bits(new_matrix[rows]))
+    assert not np.array_equal(store.relations[batch[:, 1]], before.relations[batch[:, 1]])
 
 
 # -- optimizer ------------------------------------------------------------------------
@@ -503,7 +623,7 @@ def test_adam_zero_gradient_fixed_point():
     grads = {"entities": SparseGrad(np.arange(4), np.zeros((4, 3)))}
     adam_step(store, grads, AdamConfig())
     assert np.array_equal(store.entities, before)
-    assert store.step_ent == 1 and store.step_rel == 1
+    assert store.step == 1
 
 
 def test_adam_untouched_rows_bitwise_unchanged():
@@ -523,6 +643,29 @@ def test_adam_rejects_non_finite_gradient():
     bad = {"entities": SparseGrad(np.array([1]), np.array([[np.nan, 0.0]]))}
     with pytest.raises(NumericError, match="entities row 1"):
         adam_step(store, bad, AdamConfig())
+
+
+def test_adam_reports_relation_row_of_shared_table():
+    # Row |E| + 1 of the shared table is relation 1.
+    store = init_embeddings(3, 2, 2, TransE(), seed=0)
+    bad = {"entities": SparseGrad(np.array([0, 4]), np.array([[0.0, 0.0], [0.0, np.nan]]))}
+    with pytest.raises(NumericError, match="gradient for relations row 1$"):
+        adam_step(store, bad, AdamConfig())
+
+
+def test_transe_projection_leaves_relation_rows_unnormalised(tiny_graph):
+    kind = TransE("l2")
+    store = init_embeddings(7, 2, 4, kind, seed=3)
+    unprojected = store.copy()
+    _, grads = loss_and_grad(kind, store, tiny_graph, tiny_graph.train, np.random.default_rng(0))
+    adam_step(store, grads, AdamConfig(learning_rate=0.01), trainer._normalize_entity_rows)
+    adam_step(unprojected, grads, AdamConfig(learning_rate=0.01))
+    touched = split_grads(store, grads)
+    ent_rows, rel_rows = touched["entities"].rows, touched["relations"].rows
+    assert np.allclose(np.linalg.norm(store.entities[ent_rows], axis=1), 1.0)
+    assert len(rel_rows) == 2
+    assert not np.allclose(np.linalg.norm(store.relations[rel_rows], axis=1), 1.0)
+    assert np.array_equal(bits(store.relations), bits(unprojected.relations))
 
 
 def test_adam_accepts_finite_gradient_whose_sum_overflows():
@@ -545,7 +688,7 @@ def test_adam_reports_first_bad_gradient_row_across_chunks(row_block):
     with mock.patch.object(models, "_ROW_BLOCK", row_block), \
             pytest.raises(NumericError, match="entities row 9$"):
         adam_step(store, {"entities": SparseGrad(np.arange(20), values)}, AdamConfig())
-    assert store.step_ent == 1 and not store.m_ent.any()
+    assert store.step == 1 and not store.m_ent.any()
 
 
 def test_training_step_deterministic(tiny_graph):
@@ -592,17 +735,29 @@ def test_all_entries_finite_after_updates(tiny_graph):
                                   RotatE(margin=9.0, negatives=2)])
 def test_checkpoint_round_trip(tmp_path, kind):
     store = init_embeddings(11, 3, 6, kind, seed=8)
-    store.step_ent = 17
-    store.step_rel = 4
+    store.step = 17
     store.m_ent += 0.25
+    store.v_rel += 0.5
     path = tmp_path / "model.ckpt"
     save_store(path, store)
+    assert struct.unpack_from("<QQ", path.read_bytes(), 46) == (17, 17)  # both step fields
     loaded = load_store(path)
     assert loaded.kind == kind
     assert loaded.dim == store.dim
-    assert loaded.step_ent == 17 and loaded.step_rel == 4
+    assert loaded.step == 17
     for name in ("entities", "relations", "m_ent", "v_ent", "m_rel", "v_rel"):
         assert np.array_equal(getattr(loaded, name), getattr(store, name))
+
+
+def test_checkpoint_rejects_differing_step_counts(tmp_path):
+    # The two u64 step fields sit at offsets 46 and 54 of the model header.
+    path = tmp_path / "model.ckpt"
+    save_store(path, init_embeddings(5, 2, 3, DistMult(), seed=0))
+    data = bytearray(path.read_bytes())
+    struct.pack_into("<QQ", data, 46, 17, 4)
+    path.write_bytes(bytes(data))
+    with pytest.raises(DataError, match=r"step counts differ \(17 and 4\)"):
+        load_store(path)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):

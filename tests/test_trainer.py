@@ -40,7 +40,7 @@ def stores_equal(a, b):
             and np.array_equal(a.relations, b.relations)
             and np.array_equal(a.m_ent, b.m_ent)
             and np.array_equal(a.v_rel, b.v_rel)
-            and a.step_ent == b.step_ent)
+            and a.step == b.step)
 
 
 # -- pre-training --------------------------------------------------------------------------
