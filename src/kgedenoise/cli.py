@@ -21,7 +21,7 @@ from .config import TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
 from .graph import load_flags, load_graph, write_flags, write_triples
-from .models import load_store, save_store, score_batch
+from .models import load_store, save_store, score_batch, set_max_threads
 from .noise import make_classification_negatives
 from .seeding import seed_for
 
@@ -46,6 +46,10 @@ def _load_dir(data_dir):
 def _apply_threads(count: int | None) -> None:
     if count is None:
         return
+    try:
+        set_max_threads(count)
+    except ValueError as exc:
+        raise UsageError(f"--threads: {exc}") from None
     try:
         import threadpoolctl
 
@@ -175,7 +179,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="kgedenoise",
                      description="Noise-robust knowledge-graph embedding toolkit")
     parser.add_argument("--threads", type=int, default=None,
-                        help="cap BLAS/OpenMP worker threads")
+                        help="cap the threads that run the training step's and scoring's "
+                             "chunks (default and maximum: the usable CPUs) and BLAS/OpenMP "
+                             "worker threads")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inject-noise", help="fuse labeled hard negatives into a train split")

@@ -15,7 +15,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .errors import DataError
-from .graph import Vocabulary
+from .graph import Vocabulary, text_lines
 
 _WCSS_SLACK = 1e-9
 
@@ -122,15 +122,23 @@ def save_clusters(path, clusters: RelationClusters, relation_vocab: Vocabulary) 
 
 def load_clusters(path, relation_vocab: Vocabulary) -> RelationClusters:
     assignment = np.full(len(relation_vocab), -1, dtype=np.int64)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise DataError(f"{path}:{lineno}: expected `relation<TAB>cluster`")
-            assignment[relation_vocab.id_of(fields[0])] = int(fields[1])
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise DataError(f"{path}:{lineno}: expected `relation<TAB>cluster`")
+        relation = relation_vocab.id_of(fields[0])
+        # More clusters than relations would leave some empty by construction.
+        try:
+            cluster = int(fields[1])
+            if not 0 <= cluster < len(relation_vocab):
+                raise ValueError
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: cluster must be an integer in "
+                            f"[0, {len(relation_vocab)}), got {fields[1]!r}") from None
+        assignment[relation] = cluster
     if (assignment < 0).any():
         missing = relation_vocab.name_of(int(np.flatnonzero(assignment < 0)[0]))
         raise DataError(f"{path}: no cluster assignment for relation {missing!r}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, fields
 
 from .atomic import atomic_write
 from .errors import DataError
+from .graph import text_lines
 
 # Smallest accepted value per field: a count of 0 turns its stage (or the
 # relation cap) off, an agent learning rate of 0 freezes the agents, and a
@@ -105,20 +106,19 @@ def _coerce(key: str, raw: str):
 
 def parse_config(path) -> TrainConfig:
     values = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.split("#", 1)[0].strip()
-            if not text:
-                continue
-            if "=" not in text:
-                raise DataError(f"{path}:{lineno}: expected `key = value`")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key not in _FIELD_TYPES:
-                raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                values[key] = _coerce(key, raw)
-            except ValueError as exc:
-                raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
+    for lineno, line in text_lines(path):
+        text = line.split("#", 1)[0].strip()
+        if not text:
+            continue
+        if "=" not in text:
+            raise DataError(f"{path}:{lineno}: expected `key = value`")
+        key, raw = (part.strip() for part in text.split("=", 1))
+        if key not in _FIELD_TYPES:
+            raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            values[key] = _coerce(key, raw)
+        except ValueError as exc:
+            raise DataError(f"{path}:{lineno}: bad value for {key}: {exc}") from None
     return TrainConfig(**values)
 
 

@@ -44,16 +44,33 @@ def max_f1_sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
 
     Every distinct score value serves as a threshold (prediction:
     score <= threshold), which realizes every achievable recall level.
-    Returns (best F1, threshold attaining it).
+    Returns (best F1, threshold attaining it): the lowest such threshold,
+    or (0.0, -inf) when no threshold reaches an F1 above 0.
+
+    One sort finds the thresholds; cumulative counts per threshold give
+    its true and false positives, and ``f1_score``'s float formula is
+    applied to them elementwise, so each F1 is bitwise the one
+    ``f1_score`` returns for that threshold.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
-    best, best_threshold = 0.0, -np.inf
-    for threshold in np.unique(scores):
-        f1 = f1_score(scores <= threshold, labels)
-        if f1 > best:
-            best, best_threshold = f1, float(threshold)
-    return best, best_threshold
+    thresholds = np.unique(scores)  # NaN, if any, last; nothing is <= NaN
+    thresholds = thresholds[:len(thresholds) - int(np.isnan(scores).any())]
+    if len(thresholds) == 0:
+        return 0.0, -np.inf
+    slot = np.searchsorted(thresholds, scores)  # NaN scores land past the end
+    predicted = np.cumsum(np.bincount(slot, minlength=len(thresholds))[:len(thresholds)])
+    tp = np.cumsum(np.bincount(slot[labels], minlength=len(thresholds))[:len(thresholds)])
+    tp, fp = tp.astype(np.float64), (predicted - tp).astype(np.float64)
+    fn = float(np.count_nonzero(labels)) - tp
+    with np.errstate(divide="ignore", invalid="ignore"):  # where tp is 0
+        precision = tp / (tp + fp)
+        recall = tp / (tp + fn)
+        f1 = np.where(tp == 0.0, 0.0, 2.0 * precision * recall / (precision + recall))
+    best = int(np.argmax(f1))
+    if not f1[best] > 0.0:
+        return 0.0, -np.inf
+    return float(f1[best]), float(thresholds[best])
 
 
 def noise_detection_f1(mask_or_scores: np.ndarray, labels: np.ndarray) -> float:

@@ -25,6 +25,23 @@ logger = logging.getLogger(__name__)
 SPLITS = ("train", "valid", "test")
 
 
+def text_lines(path):
+    """Numbered lines (from 1) of the UTF-8 text file ``path``.
+
+    A file that cannot be opened, or bytes that are not UTF-8, raise
+    ``DataError``, so every text loader fails with the data-error exit code.
+    """
+    try:
+        handle = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+    with handle:
+        try:
+            yield from enumerate(handle, start=1)
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
+
+
 class Triple(NamedTuple):
     head: int
     relation: int
@@ -206,33 +223,32 @@ def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Voca
     rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     raw = dups = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            if line.endswith("\n"):
-                line = line[:-1]
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise DataError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            raw += 1
-            head_name, rel_name, tail_name = fields
-            if split != "train":
-                if head_name not in train_entities:
-                    report.eval_only_entities += head_name not in entity_vocab
-                if tail_name not in train_entities:
-                    report.eval_only_entities += tail_name not in entity_vocab
-                if rel_name not in train_relations:
-                    report.eval_only_relations += rel_name not in relation_vocab
-            triple = (entity_vocab.add(head_name), relation_vocab.add(rel_name),
-                      entity_vocab.add(tail_name))
-            if triple in seen:
-                dups += 1
-                continue
-            seen.add(triple)
-            rows.append(triple)
+    for lineno, line in text_lines(path):
+        if line.endswith("\n"):
+            line = line[:-1]
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 3:
+            raise DataError(
+                f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
+            )
+        raw += 1
+        head_name, rel_name, tail_name = fields
+        if split != "train":
+            if head_name not in train_entities:
+                report.eval_only_entities += head_name not in entity_vocab
+            if tail_name not in train_entities:
+                report.eval_only_entities += tail_name not in entity_vocab
+            if rel_name not in train_relations:
+                report.eval_only_relations += rel_name not in relation_vocab
+        triple = (entity_vocab.add(head_name), relation_vocab.add(rel_name),
+                  entity_vocab.add(tail_name))
+        if triple in seen:
+            dups += 1
+            continue
+        seen.add(triple)
+        rows.append(triple)
     report.raw_lines[split] = raw
     report.kept[split] = len(rows)
     report.duplicates[split] = dups
@@ -289,14 +305,13 @@ def write_flags(path, flags: np.ndarray) -> None:
 def load_flags(path, expected: int) -> np.ndarray:
     """Read a flag sidecar that must hold ``expected`` (the train size) entries."""
     values = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            text = line.strip()
-            if not text:
-                continue
-            if text not in ("0", "1"):
-                raise DataError(f"{path}:{lineno}: entries must be 0 or 1")
-            values.append(text == "1")
+    for lineno, line in text_lines(path):
+        text = line.strip()
+        if not text:
+            continue
+        if text not in ("0", "1"):
+            raise DataError(f"{path}:{lineno}: entries must be 0 or 1")
+        values.append(text == "1")
     flags = np.asarray(values, dtype=bool)
     if len(flags) != expected:
         raise DataError(f"{path}: {len(flags)} entries for {expected} training triples")

@@ -26,10 +26,23 @@ its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
 scores into a batch-wide vector and gradient rows into a column-major
 contribution buffer per table; RotatE takes the trig of the relation table
 once per call. ``_accumulate`` sums a buffer's rows per touched row with
-``np.bincount`` over column-major cells, and ``adam_step`` updates each
-table's gathered rows chunk by chunk before one scatter. Losses, gradients
-and stores are bitwise equal to an unchunked, row-major step over separate
-entity and relation matrices. ``score_batch`` scores in the same chunks.
+``np.bincount`` over column-major cells, in blocks of whole columns, and
+``adam_step`` gathers, updates and checks each table's rows chunk by chunk
+and scatters them back in the same chunks. ``score_batch`` scores in the
+same row chunks.
+
+Threads. Every such loop hands its chunks to ``_run_chunks``, which runs
+them on a process-wide pool when there are two or more (the calling
+thread takes chunks too, and ``set_max_threads`` caps the threads) and
+inline otherwise, as at the synthetic preset's sizes. The
+calling thread alone draws every random number (``corrupt_batch``), makes
+every buffer, takes every loss sum, decides the non-finite verdict and
+runs TransE's projection; the functions a tracer may wrap run only there.
+A chunk only writes its own rows or columns of buffers made before it
+runs, and every element goes through the same operations in the same
+order whichever thread runs it. So losses, gradients and stores are
+bitwise equal for any thread count, and to an unchunked, row-major step
+over separate entity and relation matrices.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -50,9 +63,12 @@ differ or whose norm or negatives field is invalid for its kind.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import struct
+from collections import deque
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import compress
 from typing import Union
@@ -191,7 +207,7 @@ def _rotate_parts(store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: 
     ent = store.entities
     h_re, h_im = ent[h, :d], ent[h, d:]
     t_re, t_im = ent[t, :d], ent[t, d:]
-    cos, sin = trig[0][r], trig[1][r]
+    cos, sin = trig[0].take(r, 0), trig[1].take(r, 0)
     # a = h_re cos - h_im sin - t_re, b = h_re sin + h_im cos - t_im and
     # sqrt(a a + b b), evaluated in that order, reusing the gathered halves
     # of h once they are spent.
@@ -211,8 +227,10 @@ def _rotate_parts(store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: 
 def score_batch(kind: ModelKind, store: EmbeddingStore, triples: np.ndarray) -> np.ndarray:
     """Scores for an (n, 3) array of id triples, computed in row chunks."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
-    out, trig = np.empty(len(triples)), None
-    for rows in _row_chunks(len(triples)):
+    out = np.empty(len(triples))
+    trig = _rotate_trig(store) if isinstance(kind, RotatE) else None  # once per call
+
+    def chunk(rows):
         h, r, t = triples[rows].T
         if isinstance(kind, TransE):
             delta = store.entities[h] + store.relations[r] - store.entities[t]
@@ -221,8 +239,9 @@ def score_batch(kind: ModelKind, store: EmbeddingStore, triples: np.ndarray) -> 
         elif isinstance(kind, DistMult):
             out[rows] = (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
         else:
-            trig = trig or _rotate_trig(store)  # once per call
             out[rows] = -_rotate_parts(store, trig, h, r, t)[2].sum(axis=1)
+
+    _run_chunks(chunk, _row_chunks(len(triples)))
     return out
 
 
@@ -335,9 +354,13 @@ class SparseGrad:
     values: np.ndarray  # (k, width)
 
 
-# Cells summed per np.bincount call in _accumulate: caps the flat cell index
-# at 8 MB however many rows and columns a batch's gradient has.
+# Cells summed per np.bincount call in _accumulate: at most _CELL_BLOCK, which
+# caps the flat cell index at 8 MB however many rows and columns a batch's
+# gradient has, and about a quarter of a gradient's cells once that quarter
+# exceeds _MIN_CELL_BLOCK, so an FB-scale gradient's column blocks spread
+# over the chunk pool while a small batch's gradient stays one block.
 _CELL_BLOCK = 1 << 20
+_MIN_CELL_BLOCK = 1 << 17
 # Rows per chunk of the loss bodies and of adam_step. A chunk's temporaries
 # stay within the per-core cache at d=100, and a batch of 32 positives with
 # 10 negatives each is a single chunk.
@@ -350,6 +373,99 @@ def _row_chunks(n: int):
     return map(slice, range(0, n, _ROW_BLOCK), range(_ROW_BLOCK, n + _ROW_BLOCK, _ROW_BLOCK))
 
 
+# -- the chunk pool ------------------------------------------------------------
+
+# Threads the pool adds to the calling thread, decided on first use: one
+# fewer than _step_threads(), so that caller and pool together run at most
+# one thread per usable CPU. None until then, and again in a forked child, whose
+# copy of the parent's pool has no threads behind it; _pool is None while
+# _helpers is 0 or None.
+_helpers: int | None = None
+_pool: ThreadPoolExecutor | None = None
+_max_threads: int | None = None  # set_max_threads's cap; None means every usable CPU
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _step_threads() -> int:
+    """Threads that run chunks: the usable CPUs, capped by ``set_max_threads``."""
+    cpus = _usable_cpus()
+    return cpus if _max_threads is None else min(cpus, _max_threads)
+
+
+def set_max_threads(count: int | None) -> None:
+    """Cap the threads that run chunks at ``count`` (at least 1); None lifts the cap.
+
+    A count above the usable CPUs is clamped to them. The pool is rebuilt
+    on its next use.
+    """
+    global _max_threads
+    if count is not None and count < 1:
+        raise ValueError(f"thread count must be >= 1, got {count}")
+    _max_threads = count
+    if _pool is not None:
+        _pool.shutdown(wait=False)
+    _forget_pool()
+
+
+def _forget_pool() -> None:
+    global _helpers, _pool
+    _helpers = _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_chunks(body, pieces) -> list:
+    """``[body(piece) for piece in pieces]``, spread over the chunk pool.
+
+    With two or more pieces and two or more threads, the calling thread and
+    the pool's threads take pieces from one queue until it is empty; a pool
+    thread runs them in a copy of the caller's context, so the caller's
+    ``np.errstate`` holds there too. Once every piece has returned, the
+    results come back in piece order, or the exception of the first piece
+    that raised is raised. Otherwise the pieces run inline, in order. The
+    pieces must be independent: each may write only its own part of shared
+    buffers, and none may draw random numbers or call this function.
+    """
+    global _helpers, _pool
+    pieces = list(pieces)
+    if len(pieces) > 1 and _helpers is None:
+        _helpers = _step_threads() - 1
+        _pool = ThreadPoolExecutor(_helpers, "kgedenoise-chunk") if _helpers else None
+    if len(pieces) < 2 or _pool is None:
+        return list(map(body, pieces))
+    results, errors = [None] * len(pieces), [None] * len(pieces)
+    todo = deque(range(len(pieces)))  # popleft is atomic
+
+    def drain():
+        while todo:
+            try:
+                i = todo.popleft()
+            except IndexError:  # another thread took the last piece
+                return
+            try:
+                results[i] = body(pieces[i])
+            except BaseException as exc:  # raised in the caller below
+                errors[i] = exc
+
+    helpers = [_pool.submit(contextvars.copy_context().run, drain)
+               for _ in range(min(_helpers, len(pieces) - 1))]
+    drain()
+    # A helper that has not started by now finds nothing to do: cancel it
+    # rather than wait for a thread the scheduler has not yet run.
+    wait([helper for helper in helpers if not helper.cancel()])
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
+
+
 def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
     """Sum the ``contribs`` rows that share a row id in ``[0, n_rows)``.
 
@@ -360,8 +476,8 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     by column (``slot + k * column``) and the weights read in column-major
     order, so each column's writes stay within a k-sized region; the loss
     bodies build ``contribs`` column-major, which makes that read a view.
-    Columns are summed in blocks of whole columns, which bounds the index
-    without changing any cell's order of addition.
+    Columns are summed in blocks of whole columns, on the chunk pool; a
+    block bounds the index without changing any cell's order of addition.
     """
     touched = np.zeros(n_rows, dtype=bool)
     touched[rows] = True
@@ -371,15 +487,19 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     inverse = slot[rows]
     k, width = len(unique), contribs.shape[1]
     acc = np.empty((k, width))
-    block_cols = min(width, max(1, _CELL_BLOCK // len(rows)))
+    cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, len(rows) * width // 4))
+    block_cols = min(width, max(1, cells // len(rows)))
     # Every block numbers its cells alike; a narrower last block uses a prefix.
     block_cells = (np.arange(0, k * block_cols, k)[:, None] + inverse).ravel()
-    for first in range(0, width, block_cols):
+
+    def block_sum(first):
         block = contribs[:, first:first + block_cols]
         cols = block.shape[1]
         acc[:, first:first + cols] = np.bincount(
             block_cells[:cols * len(rows)], weights=block.ravel(order="F"),
             minlength=k * cols).reshape(cols, k).T
+
+    _run_chunks(block_sum, range(0, width, block_cols))
     return SparseGrad(unique, acc)
 
 
@@ -387,10 +507,13 @@ def _softplus(x: np.ndarray) -> np.ndarray:
     return np.logaddexp(0.0, x)
 
 
-# Each loss body below works through its triples in row chunks. A chunk
-# writes its scores into a batch-wide vector and its gradient rows straight
-# into one column-major contribution buffer; every loss sum is taken once
-# over the whole vector, as numpy's pairwise sum depends on its length.
+# Each loss body below works through its triples in row chunks, on the chunk
+# pool. A chunk writes its scores into a batch-wide vector and its gradient
+# rows straight into one column-major contribution buffer; every loss sum is
+# taken once, in the calling thread, over the whole vector, as numpy's
+# pairwise sum depends on its length. Negatives are drawn before any chunk runs.
+# Rows are gathered with ``ndarray.take``, which copies the same values as
+# fancy indexing in about half the time at the synthetic preset's sizes.
 # The chunk bodies are functions so that their temporaries are freed before
 # _accumulate allocates: left alive, they made the heap grow and shrink by
 # their size on every small batch, at the cost of a page fault per 4 kB.
@@ -403,7 +526,7 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
 
     def parts(tr, rel_rows):
         """Distances ||h + r - t|| of a triple chunk and their gradients in h."""
-        delta = ent[tr[:, 0]] + rel_rows - ent[tr[:, 2]]
+        delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
         if kind.norm == "l1":
             return np.abs(delta).sum(axis=1), np.sign(delta)
         norm = np.sqrt((delta * delta).sum(axis=1))
@@ -418,7 +541,7 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
     g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
 
     def chunk(rows):
-        rel_rows = rel[r[rows]]
+        rel_rows = rel.take(r[rows], 0)
         d_pos, g_pos = parts(positives[rows], rel_rows)
         d_neg, g_neg = parts(negatives[rows], rel_rows)
         # f_neg - f_pos + margin with f = -distance, bit for bit.
@@ -433,8 +556,7 @@ def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
         g_tp[rows] = np.negative(g_pos, out=g_pos)
         g_hn[rows] = np.negative(g_neg, out=g_neg)
 
-    for rows in _row_chunks(n):
-        chunk(rows)
+    _run_chunks(chunk, _row_chunks(n))
     loss = float(violation[violation > 0.0].sum())
     ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
                           r + n_ent])
@@ -458,7 +580,7 @@ def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
         # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
         # (dldf eh) et, built in a C-ordered block and copied into the
         # column-major buffer.
-        eh, er, et = ent[h[rows]], rel[r[rows]], ent[t[rows]]
+        eh, er, et = ent.take(h[rows], 0), rel.take(r[rows], 0), ent.take(t[rows], 0)
         block = eh * er
         block *= et
         y_rows = neg_y[rows]
@@ -471,8 +593,7 @@ def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
         g_t[rows] = np.multiply(eh, er, out=block)
         g_r[rows] = np.multiply(eh, et, out=block)
 
-    for rows in _row_chunks(n):
-        chunk(rows)
+    _run_chunks(chunk, _row_chunks(n))
     loss = float(_softplus(z).sum())
     n_ent = store.n_entities
     grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
@@ -499,7 +620,8 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
     def terms(tr, dldf_of, g_h, g_t, g_r):
         """Scores of a triple block, chained into entity-row and phase gradients."""
         f = np.empty(len(tr))
-        for rows in _row_chunks(len(tr)):
+
+        def chunk(rows):
             a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(
                 store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
             f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
@@ -533,6 +655,8 @@ def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
             gh[:, :d] = block
             gt[:, :d] = np.negative(da, out=da)
             gt[:, d:] = np.negative(db, out=db)
+
+        _run_chunks(chunk, _row_chunks(len(tr)))
         return f
 
     f_pos = terms(positives, lambda f: -expit(-(eta + f)),
@@ -596,52 +720,74 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
     The store's step count advances once per call; rows absent from the
     gradient keep their parameters and moments bitwise unchanged
     (lazy/sparse Adam semantics). Each table's touched rows of parameters
-    and moments are gathered once, updated in row chunks and scattered
-    once. ``project_entities``, if given, projects updated entity rows in
-    place (TransE's unit-norm projection), never a shared table's relation
-    rows. A non-finite gradient or updated parameter raises
-    ``NumericError`` before anything of that table is stored; a bad
-    gradient anywhere is reported before a bad parameter.
+    and moments are gathered, updated and checked in row chunks on the
+    chunk pool, and scattered back in the same chunks only once every
+    chunk has passed. ``project_entities``, if given, projects updated
+    entity rows in place in the calling thread before the scatter
+    (TransE's unit-norm projection), never a shared table's relation rows.
+    A non-finite gradient or updated parameter raises ``NumericError``
+    before anything of that table is stored; the first bad gradient row
+    is reported before any bad parameter.
     """
     store.step += 1
+    bias1 = 1.0 - config.beta1 ** store.step
+    bias2 = 1.0 - config.beta2 ** store.step
     for name, params, m, v in store.tables:
         grad = grads.get(name)
         if grad is None or len(grad.rows) == 0:
             continue
-        rows = grad.rows
-        m_rows, v_rows, p_rows = m[rows], v[rows], params[rows]
-        bad_param = None
-        for chunk in _row_chunks(len(rows)):
-            g = grad.values[chunk]
-            bad = _non_finite_row(store, name, rows[chunk], g)
+        rows = grad.rows  # ascending
+        if rows[0] < 0 or rows[-1] >= len(params):
+            raise IndexError(f"{name} gradient rows lie outside [0, {len(params)})")
+        # Three buffers, not one of three times the size: larger blocks move
+        # glibc's mmap and trim thresholds and make small batches page-fault.
+        shape = (len(rows), params.shape[1])
+        m_rows, v_rows, p_rows = np.empty(shape), np.empty(shape), np.empty(shape)
+
+        def update(chunk):
+            """(bad gradient, bad parameter) messages of a chunk, or Nones."""
+            ids, g = rows[chunk], grad.values[chunk]
+            bad = _non_finite_row(store, name, ids, g)
             if bad is not None:
-                raise NumericError(f"non-finite gradient for {bad}")
+                return f"non-finite gradient for {bad}", None
+            # The rows are checked in range above; "clip" lets take write
+            # straight into the buffer, where "raise" would copy through a
+            # temporary allocated in this thread. (Positional arguments: at
+            # the synthetic preset's sizes, parsing keywords costs as much.)
+            m_chunk = m.take(ids, 0, m_rows[chunk], "clip")
+            v_chunk = v.take(ids, 0, v_rows[chunk], "clip")
+            p_chunk = params.take(ids, 0, p_rows[chunk], "clip")
             # In place, but each element sees the same operations in the same
             # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
             # p -= lr * m_hat / (sqrt(v_hat) + eps).
-            m_chunk, v_chunk, p_chunk = m_rows[chunk], v_rows[chunk], p_rows[chunk]
             m_chunk *= config.beta1
             m_chunk += (1.0 - config.beta1) * g
             v_chunk *= config.beta2
             g_sq = g * g
             g_sq *= 1.0 - config.beta2
             v_chunk += g_sq
-            update = m_chunk / (1.0 - config.beta1 ** store.step)
-            update *= config.learning_rate
-            denom = v_chunk / (1.0 - config.beta2 ** store.step)
+            delta = m_chunk / bias1
+            delta *= config.learning_rate
+            denom = v_chunk / bias2
             np.sqrt(denom, out=denom)
             denom += config.epsilon
-            update /= denom
-            p_chunk -= update
-            if bad_param is None:
-                bad_param = _non_finite_row(store, name, rows[chunk], p_chunk)
-        if bad_param is not None:
-            raise NumericError(f"non-finite parameter after update: {bad_param}")
+            delta /= denom
+            p_chunk -= delta
+            bad = _non_finite_row(store, name, ids, p_chunk)
+            return None, bad and f"non-finite parameter after update: {bad}"
+
+        def scatter(chunk):
+            ids = rows[chunk]
+            m[ids], v[ids], params[ids] = m_rows[chunk], v_rows[chunk], p_rows[chunk]
+
+        chunks = list(_row_chunks(len(rows)))
+        grad_bad, param_bad = zip(*_run_chunks(update, chunks))
+        message = next(filter(None, grad_bad + param_bad), None)
+        if message is not None:
+            raise NumericError(message)
         if project_entities is not None and name == "entities":
             project_entities(p_rows[:np.searchsorted(rows, store.n_entities)])
-        m[rows] = m_rows
-        v[rows] = v_rows
-        params[rows] = p_rows
+        _run_chunks(scatter, chunks)
 
 
 # -- checkpoint IO ----------------------------------------------------------------
@@ -690,7 +836,9 @@ def read_matrices(handle, path, shapes) -> list[np.ndarray]:
 
     The declared size and every dimension are checked against the bytes
     left in the file before anything is read, so a forged header cannot
-    demand a huge allocation or a matrix too large to shape.
+    demand a huge allocation or a matrix too large to shape. A non-finite
+    value anywhere is refused too: nothing trained can hold one, and scores
+    from it would rank every query 0.
     """
     declared = 8 * sum(rows * cols for rows, cols in shapes)
     left = os.fstat(handle.fileno()).st_size - handle.tell()
@@ -701,7 +849,10 @@ def read_matrices(handle, path, shapes) -> list[np.ndarray]:
     matrices = []
     for rows, cols in shapes:
         data = handle.read(rows * cols * 8)
-        matrices.append(np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols))
+        matrix = np.frombuffer(data, dtype="<f8").astype(np.float64).reshape(rows, cols)
+        if not np.isfinite(matrix).all():
+            raise DataError(f"{path}: checkpoint holds a non-finite value")
+        matrices.append(matrix)
     return matrices
 
 

@@ -1,8 +1,13 @@
 """Shared fixtures and independent oracles used across the test suite."""
 
+import contextlib
+from concurrent.futures import ThreadPoolExecutor
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from kgedenoise import models
 from kgedenoise.graph import KnowledgeGraph, Vocabulary
 
 
@@ -67,6 +72,20 @@ def brute_force_filtered_rank(score_fn, n_entities, query, answer, known_triples
             if score_fn(e, r, t) >= true_score:
                 rank += 1
     return rank
+
+
+@contextlib.contextmanager
+def chunk_threads(count):
+    """Run ``models``' chunk pool with ``count`` threads in all, the caller's
+    included, whatever the host's CPU count; 1 runs every chunk inline."""
+    pool = ThreadPoolExecutor(count - 1) if count > 1 else None
+    try:
+        with mock.patch.object(models, "_helpers", count - 1), \
+                mock.patch.object(models, "_pool", pool):
+            yield
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 def exhaustive_max_f1(scores, labels):

@@ -159,6 +159,17 @@ def test_evaluate_forged_model_checkpoint_exits_two(graph_dir, data):
     assert "data error:" in err.getvalue() and "Traceback" not in err.getvalue()
 
 
+@pytest.mark.parametrize("load, original", [(load_store, MODEL_CHECKPOINTS[2]),
+                                            (load_policy, POLICY_CHECKPOINT)],
+                         ids=["model", "policy"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_payload_is_rejected(load, original, value):
+    # A valid header and size; one float of the last matrix is not finite.
+    forged = original[:-8] + struct.pack("<d", value)
+    loaded = load_forged(load, forged)
+    assert isinstance(loaded, DataError) and "non-finite value" in str(loaded)
+
+
 @pytest.mark.parametrize("load, original, header, size_fields", [
     (load_store, MODEL_CHECKPOINTS[1], MODEL_HEADER, MODEL_SIZES),
     (load_policy, POLICY_CHECKPOINT, POLICY_HEADER, POLICY_SIZES),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from kgedenoise import experiments
+from kgedenoise import experiments, models
 from kgedenoise.cli import run
 from kgedenoise.config import TrainConfig, format_config, parse_config, write_config
 from kgedenoise.errors import DataError
@@ -107,6 +107,42 @@ def test_evaluate_checkpoint_of_another_graph_exits_two(data_dir, tmp_path, caps
     assert (f"data error: checkpoint has {n_entities} entities and {n_relations} relations; "
             "the data directory has 8 and 2") in err
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
+
+
+def test_evaluate_non_finite_checkpoint_exits_two(data_dir, tmp_path, capsys):
+    # NaN entity rows used to exit 0 with "mrr": Infinity, which is not JSON.
+    store = init_embeddings(8, 2, 4, TransE(), seed=0)
+    store.entities[:] = np.nan
+    ckpt = tmp_path / "nan.ckpt"
+    save_store(ckpt, store)
+    code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
+                "--out", str(tmp_path / "report.json")])
+    err = capsys.readouterr().err
+    assert code == 2 and "checkpoint holds a non-finite value" in err
+    assert "Traceback" not in err and not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_threads_below_one_is_a_usage_error(data_dir, tmp_path, capsys, count):
+    code = run(["--threads", count, "inject-noise", "--rate", "0.25", "--in", str(data_dir),
+                "--out", str(tmp_path / "noisy")])
+    assert code == 1 and "--threads: thread count must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "noisy").exists()
+
+
+def test_threads_above_usable_cpus_is_clamped(data_dir, tmp_path, monkeypatch):
+    # No pool is started: only the cap is checked.
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(models, "_max_threads", None)
+    monkeypatch.setattr(models, "_helpers", None)
+    monkeypatch.setattr(models, "_pool", None)
+    code = run(["--threads", "64", "inject-noise", "--rate", "0.25", "--in", str(data_dir),
+                "--out", str(tmp_path / "noisy")])
+    assert code == 0 and models._max_threads == 64 and models._step_threads() == 2
+    assert models._pool is None
+    run(["--threads", "1", "inject-noise", "--rate", "0.25", "--in", str(data_dir),
+         "--out", str(tmp_path / "noisy")])
+    assert models._step_threads() == 1
 
 
 def test_train_strl_writes_policy_and_mask(data_dir, tmp_path):

@@ -46,6 +46,50 @@ def test_sweep_matches_exhaustive_oracle(data):
         exhaustive_max_f1(scores, labels), rel=1e-12)
 
 
+def max_f1_sweep_loop(scores, labels):
+    """The sweep as it was first written: ``f1_score`` at every distinct score."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels, dtype=bool)
+    best, best_threshold = 0.0, -np.inf
+    for threshold in np.unique(scores):
+        f1 = f1_score(scores <= threshold, labels)
+        if f1 > best:
+            best, best_threshold = f1, float(threshold)
+    return best, best_threshold
+
+
+def sweep_bits(result):
+    return np.array(result, dtype=np.float64).view(np.uint64).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_sweep_is_bitwise_equal_to_the_loop(data):
+    # Few distinct values make ties; NaN is never predicted noise, and
+    # -0.0 and 0.0 are one threshold.
+    n = data.draw(st.integers(0, 40))
+    values = data.draw(st.sampled_from([
+        st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0, np.nan]),
+        st.floats(-5, 5, allow_nan=False),
+        st.floats(allow_nan=True, allow_infinity=True)]))
+    scores = np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    if data.draw(st.booleans()):
+        labels[:] = False  # all clean: no F1 above 0
+    assert sweep_bits(max_f1_sweep(scores, labels)) == \
+        sweep_bits(max_f1_sweep_loop(scores, labels))
+
+
+def test_sweep_first_maximum_wins_and_clean_labels_give_no_threshold():
+    # Thresholds 1 (precision 1, recall 1/2) and 4 (1/2, 1) both reach F1
+    # 1/1.5; the lower one is returned.
+    scores = np.array([1.0, 2.0, 3.0, 4.0, np.nan])
+    labels = np.array([True, False, False, True, False])
+    assert max_f1_sweep(scores, labels) == (1.0 / 1.5, 1.0)
+    assert max_f1_sweep(scores, np.zeros(5, dtype=bool)) == (0.0, -np.inf)
+    assert max_f1_sweep(np.full(3, np.nan), np.ones(3, dtype=bool)) == (0.0, -np.inf)
+
+
 def test_mask_as_scores_matches_hard_f1_for_sane_detectors():
     # holds whenever the mask is at least as good as predicting everything
     rng = np.random.default_rng(0)

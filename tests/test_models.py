@@ -1,5 +1,8 @@
+import os
 import struct
+import threading
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph, random_graph
+from conftest import chunk_threads, make_graph, random_graph
 from kgedenoise import models, trainer
 from kgedenoise.errors import DataError, NumericError
 from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
@@ -368,6 +371,100 @@ def test_shared_table_batch_makes_one_accumulate_and_one_adam_pass(kind):
     assert [c.args for c in chunks.call_args_list] == [(len(grads["entities"].rows),)]
 
 
+@pytest.mark.parametrize("kind", [TransE("l1", 1.0), TransE("l2", 1.0),
+                                  DistMult(l2_coeff=1e-3, negatives=3),
+                                  RotatE(margin=2.0, negatives=3)],
+                         ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+@pytest.mark.parametrize("threads", [2, 3])
+def test_thread_count_does_not_change_any_bit(kind, threads):
+    # Chunks of 7 rows and column blocks of a few columns make every loop of
+    # the step run many pieces on the pool.
+    with mock.patch.object(models, "_CELL_BLOCK", 64), \
+            mock.patch.object(models, "_MIN_CELL_BLOCK", 8):
+        with chunk_threads(1):
+            expected_losses, expected_grads, expected = chunked_training_run(kind, 7)
+        pieces = []
+        run_chunks = models._run_chunks
+
+        def counting(body, chunks):
+            chunks = list(chunks)
+            pieces.append(len(chunks))
+            return run_chunks(body, chunks)
+
+        with chunk_threads(threads), mock.patch.object(models, "_run_chunks", counting):
+            losses, grads, store = chunked_training_run(kind, 7)
+    assert max(pieces) > 1
+    assert bits(losses).tolist() == bits(expected_losses).tolist()
+    for grad, expected_grad in zip(grads, expected_grads):
+        assert list(grad) == list(expected_grad)
+        for name in grad:
+            assert np.array_equal(grad[name].rows, expected_grad[name].rows)
+            assert np.array_equal(bits(grad[name].values), bits(expected_grad[name].values))
+    for (_, *matrices), (_, *expected_matrices) in zip(store.matrices(), expected.matrices()):
+        for matrix, expected_matrix in zip(matrices, expected_matrices):
+            assert np.array_equal(bits(matrix), bits(expected_matrix))
+
+
+def test_chunks_return_in_piece_order_and_raise_the_first_error():
+    with chunk_threads(3):
+        assert models._run_chunks(lambda i: i * i, range(50)) == [i * i for i in range(50)]
+
+        def body(i):
+            if i in (3, 7):
+                raise KeyError(i)
+            return i
+
+        with pytest.raises(KeyError, match="3"):
+            models._run_chunks(body, range(10))
+
+
+def test_caller_errstate_holds_in_pool_threads():
+    caller, helper_ran = threading.current_thread(), threading.Event()
+
+    def body(x):
+        if threading.current_thread() is caller:
+            assert helper_ran.wait(10)  # a pool thread takes a piece first
+            return x
+        helper_ran.set()
+        return np.float64(1e300) * x
+
+    with chunk_threads(2), np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        models._run_chunks(body, [1e10] * 4)
+    helper_ran.clear()
+    with chunk_threads(2), np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isinf(models._run_chunks(body, [1e10] * 4)).any()
+
+
+def test_thread_cap_is_clamped_to_usable_cpus(monkeypatch):
+    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(models, "_helpers", None)
+    monkeypatch.setattr(models, "_pool", None)
+    monkeypatch.setattr(models, "_max_threads", None)
+    assert models._step_threads() == 2
+    models.set_max_threads(64)
+    assert models._step_threads() == 2
+    names = set()
+    models._run_chunks(lambda _: names.add(threading.current_thread().name), range(64))
+    assert len(names) <= 2 and models._pool._max_workers == 1
+    models.set_max_threads(1)
+    assert models._step_threads() == 1 and models._pool is None
+    models._run_chunks(lambda _: names.add(threading.current_thread().name), range(8))
+    assert models._helpers == 0 and models._pool is None
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            models.set_max_threads(count)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_builds_its_own_pool():
+    with chunk_threads(2):
+        pid = os.fork()
+        if pid == 0:  # child: the parent's pool has no threads here
+            os._exit(0 if models._pool is None and models._helpers is None else 1)
+        assert os.waitpid(pid, 0)[1] == 0
+
+
 def test_rotate_trig_is_taken_once_per_call():
     # The relation table's trig is taken once per loss call, however many
     # chunks gather rows from it.
@@ -680,15 +777,25 @@ def test_adam_accepts_finite_gradient_whose_sum_overflows():
     assert (store.entities[[0, 2], 1] != before[[0, 2], 1]).all()
 
 
-@pytest.mark.parametrize("row_block", [1, 7, 1000])
-def test_adam_reports_first_bad_gradient_row_across_chunks(row_block):
+@pytest.mark.parametrize("row_block, threads",
+                         [(block, threads) for threads in (1, 2, 3) for block in (1, 7, 1000)],
+                         ids=[f"{block}" + ("" if threads == 1 else f"-{threads}threads")
+                              for threads in (1, 2, 3) for block in (1, 7, 1000)])
+def test_adam_reports_first_bad_gradient_row_across_chunks(row_block, threads):
     store = init_embeddings(20, 1, 2, TransE(), seed=0)
     values = np.ones((20, 2))
     values[[9, 13], 1] = [np.inf, np.nan]
-    with mock.patch.object(models, "_ROW_BLOCK", row_block), \
+    # Row 2's huge gradient sends its parameter to inf in an earlier chunk:
+    # the bad gradient is still the one reported.
+    store.entities[2, 0] = 1.5e308
+    values[2, 0] = -1e300
+    with mock.patch.object(models, "_ROW_BLOCK", row_block), chunk_threads(threads), \
+            np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="entities row 9$"):
-        adam_step(store, {"entities": SparseGrad(np.arange(20), values)}, AdamConfig())
-    assert store.step == 1 and not store.m_ent.any()
+        adam_step(store, {"entities": SparseGrad(np.arange(20), values)},
+                  AdamConfig(learning_rate=1e300))
+    assert store.step == 1 and not store.m_ent.any() and not store.v_ent.any()
+    assert store.entities[2, 0] == 1.5e308
 
 
 def test_training_step_deterministic(tiny_graph):

@@ -1,10 +1,11 @@
 import hashlib
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from conftest import make_graph, random_graph
-from kgedenoise import trainer
+from conftest import chunk_threads, make_graph, random_graph
+from kgedenoise import experiments, models, trainer
 from kgedenoise.agent import PolicyParams, Trajectory, state_dim_for
 from kgedenoise.clustering import RelationClusters
 from kgedenoise.config import TrainConfig
@@ -385,16 +386,50 @@ GOLDEN_STORE_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("model, norm", [("transe", "l1"), ("transe", "l2"),
-                                         ("distmult", "l1"), ("rotate", "l1")],
-                         ids=["transe-l1", "transe-l2", "distmult", "rotate"])
-def test_pretrain_store_matches_golden_digests(model, norm):
+GOLDEN_CASES = pytest.mark.parametrize(
+    "model, norm", [("transe", "l1"), ("transe", "l2"), ("distmult", "l1"), ("rotate", "l1")],
+    ids=["transe-l1", "transe-l2", "distmult", "rotate"])
+
+
+def golden_store_digests(model, norm):
     graph = random_graph(np.random.default_rng(21), n_entities=25, n_relations=4,
                          n_train=120, n_valid=5, n_test=5)
     config = TrainConfig(model=model, norm=norm, dim=6, batch_size=16, pretrain_epochs=3,
                          k_negatives=3, learning_rate=0.05, seed=5)
     store = pretrain_kge(graph, model_kind(config), config).store
-    digests = tuple(hashlib.sha256(getattr(store, name).tobytes()).hexdigest()
-                    for name in ("entities", "relations", "m_ent", "v_ent", "m_rel", "v_rel"))
+    return tuple(hashlib.sha256(getattr(store, name).tobytes()).hexdigest()
+                 for name in ("entities", "relations", "m_ent", "v_ent", "m_rel", "v_rel"))
+
+
+@GOLDEN_CASES
+def test_pretrain_store_matches_golden_digests(model, norm):
+    key = f"{model}-{norm}" if model == "transe" else model
+    assert golden_store_digests(model, norm) == GOLDEN_STORE_DIGESTS[key]
+
+
+@GOLDEN_CASES
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_golden_digests_hold_for_any_thread_count(model, norm, threads):
+    # Chunks of 7 rows and column blocks of at most 64 cells split every loop
+    # of the step into many pieces.
+    with mock.patch.object(models, "_ROW_BLOCK", 7), mock.patch.object(models, "_CELL_BLOCK", 64), \
+            mock.patch.object(models, "_MIN_CELL_BLOCK", 8), chunk_threads(threads):
+        digests = golden_store_digests(model, norm)
     key = f"{model}-{norm}" if model == "transe" else model
     assert digests == GOLDEN_STORE_DIGESTS[key]
+
+
+@pytest.mark.parametrize("model", ["transe", "distmult", "rotate"])
+def test_synthetic_scale_epoch_never_builds_the_pool(model):
+    # The synthetic preset's sizes (batch 32, d=32, 10 negatives): every loop
+    # of the step is one piece, so it runs inline without a pool.
+    preset = experiments.PRESETS["synthetic-n1"].config.replace(model=model)
+    graph = random_graph(np.random.default_rng(4), n_entities=200, n_relations=20,
+                         n_train=400, n_valid=4, n_test=4)
+    kind = model_kind(preset)
+    store = init_embeddings(200, 20, preset.dim, kind, seed=0)
+    with mock.patch.object(models, "_helpers", None), mock.patch.object(models, "_pool", None), \
+            mock.patch.object(models, "ThreadPoolExecutor", side_effect=AssertionError):
+        run_kge_epoch(kind, store, graph, graph.train, AdamConfig(learning_rate=0.01),
+                      preset.batch_size, np.random.default_rng(0))
+        assert models._helpers is None
