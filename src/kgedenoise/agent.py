@@ -37,6 +37,7 @@ from scipy.special import expit, log_expit
 from .atomic import atomic_write
 from .clustering import RelationClusters
 from .errors import DataError, NumericError
+from .graph import open_input
 from .models import (EmbeddingStore, ModelKind, read_matrices, relation_features,
                      score_batch)
 
@@ -262,7 +263,7 @@ def save_policy(path, params: PolicyParams) -> None:
 
 
 def load_policy(path) -> PolicyParams:
-    with open(path, "rb") as handle:
+    with open_input(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise DataError(f"{path}: truncated policy header")

@@ -25,17 +25,22 @@ logger = logging.getLogger(__name__)
 SPLITS = ("train", "valid", "test")
 
 
+def open_input(path, mode: str = "r", encoding: str | None = None):
+    """``open(path, mode, encoding=encoding)``; a file that cannot be opened
+    raises ``DataError``, so every loader fails with the data-error exit code."""
+    try:
+        return open(path, mode, encoding=encoding)
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc.strerror}") from None
+
+
 def text_lines(path):
     """Numbered lines (from 1) of the UTF-8 text file ``path``.
 
     A file that cannot be opened, or bytes that are not UTF-8, raise
-    ``DataError``, so every text loader fails with the data-error exit code.
+    ``DataError``.
     """
-    try:
-        handle = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc.strerror}") from None
-    with handle:
+    with open_input(path, encoding="utf-8") as handle:
         try:
             yield from enumerate(handle, start=1)
         except UnicodeDecodeError as exc:

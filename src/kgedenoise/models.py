@@ -15,6 +15,13 @@ positive (RotatE). Every loss draws its negatives through
 ``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
 
+Each model kind is a frozen dataclass of its hyperparameters that also
+carries its own code: entity row width, relation init range, checkpoint
+fields, row scorer and the context it takes once per call, loss body,
+relation-feature lift and entity projection. The functions below read the
+kind and never branch on it. One-vs-all scoring is ``score_batch`` over
+the (|E|, 3) candidate rows, so it has the bits of triple scoring.
+
 Entity and relation rows of one width (TransE, DistMult) share one
 (|E|+|R|, d) table of parameters and one per Adam moment, relation r at row
 |E|+r; their gradient is one ``SparseGrad`` keyed ``"entities"`` whose rows
@@ -71,45 +78,17 @@ from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from itertools import compress
-from typing import Union
 
 import numpy as np
 from scipy.special import expit
 
 from .atomic import atomic_write
 from .errors import DataError, NumericError
-from .graph import KnowledgeGraph
-
-
-@dataclass(frozen=True)
-class TransE:
-    norm: str = "l1"  # "l1" or "l2"
-    margin: float = 1.0
-
-    def __post_init__(self):
-        if self.norm not in ("l1", "l2"):
-            raise DataError(f"unsupported norm {self.norm!r}")
-
-
-@dataclass(frozen=True)
-class DistMult:
-    l2_coeff: float = 1e-5
-    negatives: int = 10
-
-
-@dataclass(frozen=True)
-class RotatE:
-    margin: float = 5.0
-    negatives: int = 10
-
-
-ModelKind = Union[TransE, DistMult, RotatE]
-
-_KIND_CODES = {TransE: 0, DistMult: 1, RotatE: 2}
+from .graph import KnowledgeGraph, open_input
 
 
 def entity_width(kind: ModelKind, dim: int) -> int:
-    return 2 * dim if isinstance(kind, RotatE) else dim
+    return kind.entity_parts * dim
 
 
 @dataclass
@@ -143,14 +122,6 @@ class EmbeddingStore:
         self._adopt(kind, dim, len(entities),
                     [(p, np.zeros_like(p), np.zeros_like(p)) for p in params], 0)
 
-    @classmethod
-    def from_tables(cls, kind: ModelKind, dim: int, n_entities: int, tables,
-                    step: int = 0) -> "EmbeddingStore":
-        """A store holding the given (parameters, m, v) tables, uncopied."""
-        store = cls.__new__(cls)
-        store._adopt(kind, dim, n_entities, tables, step)
-        return store
-
     def _adopt(self, kind, dim, n_entities, tables, step) -> None:
         self.kind, self.dim, self.step = kind, dim, step
         self.tables = [(name, *arrays) for name, arrays in zip(("entities", "relations"), tables)]
@@ -160,9 +131,10 @@ class EmbeddingStore:
         self.n_entities, self.n_relations = len(self.entities), len(self.relations)
 
     def copy(self) -> "EmbeddingStore":
-        return EmbeddingStore.from_tables(self.kind, self.dim, self.n_entities,
-                                          [[a.copy() for a in table[1:]] for table in self.tables],
-                                          self.step)
+        store = EmbeddingStore.__new__(EmbeddingStore)
+        store._adopt(self.kind, self.dim, self.n_entities,
+                     [[a.copy() for a in table[1:]] for table in self.tables], self.step)
+        return store
 
     def matrices(self):
         return (("entities", self.entities, self.m_ent, self.v_ent),
@@ -171,75 +143,32 @@ class EmbeddingStore:
 
 def init_embeddings(n_entities: int, n_relations: int, dim: int, kind: ModelKind,
                     seed: int) -> EmbeddingStore:
-    """Uniform init in [-6/sqrt(d), 6/sqrt(d)]; rotation phases in [0, 2pi).
+    """Uniform init: entities in [-6/sqrt(d), 6/sqrt(d)], relations in
+    ``kind.relation_range`` (the same, or rotation phases in [0, 2pi)).
 
     Entities are drawn before relations, so a fixed seed reproduces the
-    store bit for bit; a shared table's one draw gives the same numbers.
+    store bit for bit.
     """
     if dim < 1:
         raise DataError("embedding dimension must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    if isinstance(kind, RotatE):
-        return EmbeddingStore(kind, dim, rng.uniform(-bound, bound, size=(n_entities, 2 * dim)),
-                              rng.uniform(0.0, 2.0 * np.pi, size=(n_relations, dim)))
-    table = rng.uniform(-bound, bound, size=(n_entities + n_relations, dim))
-    return EmbeddingStore.from_tables(kind, dim, n_entities,
-                                      [(table, np.zeros_like(table), np.zeros_like(table))])
+    entities = rng.uniform(-bound, bound, size=(n_entities, entity_width(kind, dim)))
+    relations = rng.uniform(*kind.relation_range(bound), size=(n_relations, dim))
+    return EmbeddingStore(kind, dim, entities, relations)
 
 
 # -- scoring -------------------------------------------------------------------
-
-
-def _rotate_trig(store: EmbeddingStore):
-    """(cos, sin) of every relation phase, one row per relation."""
-    return np.cos(store.relations), np.sin(store.relations)
-
-
-def _rotate_parts(store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: np.ndarray):
-    """Per-dimension residual (a, b) of h o r - t and its modulus.
-
-    ``h``, ``r`` and ``t`` are index arrays. ``trig`` is
-    ``_rotate_trig(store)``; its rows are gathered, so the trig is taken
-    once per relation rather than once per triple.
-    """
-    d = store.dim
-    ent = store.entities
-    h_re, h_im = ent[h, :d], ent[h, d:]
-    t_re, t_im = ent[t, :d], ent[t, d:]
-    cos, sin = trig[0].take(r, 0), trig[1].take(r, 0)
-    # a = h_re cos - h_im sin - t_re, b = h_re sin + h_im cos - t_im and
-    # sqrt(a a + b b), evaluated in that order, reusing the gathered halves
-    # of h once they are spent.
-    a = h_re * cos
-    modulus = h_im * sin
-    a -= modulus
-    a -= t_re
-    b = np.multiply(h_re, sin, out=h_re)
-    b += np.multiply(h_im, cos, out=h_im)
-    b -= t_im
-    np.multiply(a, a, out=modulus)
-    modulus += np.multiply(b, b, out=h_im)
-    np.sqrt(modulus, out=modulus)
-    return a, b, modulus, cos, sin, t_re, t_im
 
 
 def score_batch(kind: ModelKind, store: EmbeddingStore, triples: np.ndarray) -> np.ndarray:
     """Scores for an (n, 3) array of id triples, computed in row chunks."""
     triples = np.asarray(triples, dtype=np.int64).reshape(-1, 3)
     out = np.empty(len(triples))
-    trig = _rotate_trig(store) if isinstance(kind, RotatE) else None  # once per call
+    context = kind.score_context(store)  # once per call
 
     def chunk(rows):
-        h, r, t = triples[rows].T
-        if isinstance(kind, TransE):
-            delta = store.entities[h] + store.relations[r] - store.entities[t]
-            out[rows] = (-np.abs(delta).sum(axis=1) if kind.norm == "l1"
-                         else -np.sqrt((delta * delta).sum(axis=1)))
-        elif isinstance(kind, DistMult):
-            out[rows] = (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
-        else:
-            out[rows] = -_rotate_parts(store, trig, h, r, t)[2].sum(axis=1)
+        out[rows] = kind.score_rows(store, context, *triples[rows].T)
 
     _run_chunks(chunk, _row_chunks(len(triples)))
     return out
@@ -251,57 +180,22 @@ def score(kind: ModelKind, store: EmbeddingStore, head: int, relation: int, tail
 
 def score_all_tails(kind: ModelKind, store: EmbeddingStore, head: int, relation: int) -> np.ndarray:
     """Score (head, relation, t) for every entity t."""
-    ent = store.entities
-    if isinstance(kind, TransE):
-        base = ent[head] + store.relations[relation]
-        delta = base[None, :] - ent
-        if kind.norm == "l1":
-            return -np.abs(delta).sum(axis=1)
-        return -np.sqrt((delta * delta).sum(axis=1))
-    if isinstance(kind, DistMult):
-        return ent @ (ent[head] * store.relations[relation])
-    d = store.dim
-    theta = store.relations[relation]
-    cos, sin = np.cos(theta), np.sin(theta)
-    h_re, h_im = ent[head, :d], ent[head, d:]
-    rot_re = h_re * cos - h_im * sin
-    rot_im = h_re * sin + h_im * cos
-    a = rot_re[None, :] - ent[:, :d]
-    b = rot_im[None, :] - ent[:, d:]
-    return -np.sqrt(a * a + b * b).sum(axis=1)
+    candidates = np.full((store.n_entities, 3), (head, relation, 0), dtype=np.int64)
+    candidates[:, 2] = np.arange(store.n_entities)
+    return score_batch(kind, store, candidates)
 
 
 def score_all_heads(kind: ModelKind, store: EmbeddingStore, relation: int, tail: int) -> np.ndarray:
     """Score (h, relation, tail) for every entity h."""
-    ent = store.entities
-    if isinstance(kind, TransE):
-        base = store.relations[relation] - ent[tail]
-        delta = ent + base[None, :]
-        if kind.norm == "l1":
-            return -np.abs(delta).sum(axis=1)
-        return -np.sqrt((delta * delta).sum(axis=1))
-    if isinstance(kind, DistMult):
-        return ent @ (store.relations[relation] * ent[tail])
-    d = store.dim
-    theta = store.relations[relation]
-    cos, sin = np.cos(theta), np.sin(theta)
-    rot_re = ent[:, :d] * cos[None, :] - ent[:, d:] * sin[None, :]
-    rot_im = ent[:, :d] * sin[None, :] + ent[:, d:] * cos[None, :]
-    a = rot_re - ent[tail, :d][None, :]
-    b = rot_im - ent[tail, d:][None, :]
-    return -np.sqrt(a * a + b * b).sum(axis=1)
+    candidates = np.full((store.n_entities, 3), (0, relation, tail), dtype=np.int64)
+    candidates[:, 0] = np.arange(store.n_entities)
+    return score_batch(kind, store, candidates)
 
 
 def relation_features(kind: ModelKind, store: EmbeddingStore, relations: np.ndarray) -> np.ndarray:
-    """Relation rows lifted to the entity row width.
-
-    Rotation phases are mapped to (cos, sin) pairs so that agent states
-    and relation clustering see comparable real-valued vectors.
-    """
-    rows = store.relations[np.asarray(relations, dtype=np.int64)]
-    if isinstance(kind, RotatE):
-        return np.concatenate([np.cos(rows), np.sin(rows)], axis=1)
-    return rows
+    """Relation rows lifted to the entity row width, as agent states and
+    relation clustering read them."""
+    return kind.lift_relations(store.relations[np.asarray(relations, dtype=np.int64)])
 
 
 # -- negative sampling -----------------------------------------------------------
@@ -519,158 +413,269 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 # their size on every small batch, at the cost of a page fault per 4 kB.
 
 
-def _transe_loss_grad(kind: TransE, store, graph, positives, rng):
-    negatives = corrupt_batch(graph, positives, rng, 1)
-    ent, rel, n_ent = store.entities, store.relations, store.n_entities
-    n, r = len(positives), positives[:, 1]
 
-    def parts(tr, rel_rows):
-        """Distances ||h + r - t|| of a triple chunk and their gradients in h."""
-        delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
-        if kind.norm == "l1":
-            return np.abs(delta).sum(axis=1), np.sign(delta)
-        norm = np.sqrt((delta * delta).sum(axis=1))
-        safe = np.where(norm > 0.0, norm, 1.0)
-        return norm, np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
-
-    violation = np.empty(n)
-    # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
-    # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
-    # reach the sums, which start from +0.0.
-    contrib = np.empty((5 * n, store.dim), order="F")
-    g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
-
-    def chunk(rows):
-        rel_rows = rel.take(r[rows], 0)
-        d_pos, g_pos = parts(positives[rows], rel_rows)
-        d_neg, g_neg = parts(negatives[rows], rel_rows)
-        # f_neg - f_pos + margin with f = -distance, bit for bit.
-        v = np.subtract(d_pos, d_neg, out=violation[rows])
-        v += kind.margin
-        inactive = ~(v > 0.0)
-        g_pos[inactive] = 0.0
-        g_neg[inactive] = 0.0
-        g_hp[rows] = g_pos
-        g_tn[rows] = g_neg
-        g_r[rows] = g_pos - g_neg
-        g_tp[rows] = np.negative(g_pos, out=g_pos)
-        g_hn[rows] = np.negative(g_neg, out=g_neg)
-
-    _run_chunks(chunk, _row_chunks(n))
-    loss = float(violation[violation > 0.0].sum())
-    ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
-                          r + n_ent])
-    return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations)}
+# -- model kinds -----------------------------------------------------------------
 
 
-def _distmult_loss_grad(kind: DistMult, store, graph, positives, rng):
-    negatives = corrupt_batch(graph, positives, rng, kind.negatives)
-    labeled = np.concatenate([positives, negatives])
-    neg_y = np.repeat([-1.0, 1.0], [len(positives), len(negatives)])  # -label
-    ent, rel = store.entities, store.relations
-    h, r, t = labeled[:, 0], labeled[:, 1], labeled[:, 2]
-    n = len(labeled)
+class ModelKind:
+    """What a model kind supplies, with TransE's and DistMult's defaults.
 
-    z = np.empty(n)
-    # Rows h, t and r of the labeled triples.
-    contrib = np.empty((3 * n, store.dim), order="F")
-    g_h, g_t, g_r = contrib[:n], contrib[n:2 * n], contrib[2 * n:]
+    Each kind also defines ``header_fields`` (its checkpoint kind, norm
+    code, float parameter and negatives), ``score_rows`` and ``loss_grad``.
+    """
 
-    def chunk(rows):
-        # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
-        # (dldf eh) et, built in a C-ordered block and copied into the
-        # column-major buffer.
-        eh, er, et = ent.take(h[rows], 0), rel.take(r[rows], 0), ent.take(t[rows], 0)
-        block = eh * er
-        block *= et
-        y_rows = neg_y[rows]
-        z_rows = np.multiply(y_rows, block.sum(axis=1), out=z[rows])
-        dldf = (y_rows * expit(z_rows))[:, None]
-        np.multiply(dldf, er, out=block)
-        block *= et
-        g_h[rows] = block
-        eh *= dldf
-        g_t[rows] = np.multiply(eh, er, out=block)
-        g_r[rows] = np.multiply(eh, et, out=block)
+    entity_parts = 1            # entity row width in units of dim
+    negatives = 1               # negatives per positive
+    projects_entities = False   # training projects updated entity rows (TransE)
 
-    _run_chunks(chunk, _row_chunks(n))
-    loss = float(_softplus(z).sum())
-    n_ent = store.n_entities
-    grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
+    def relation_range(self, bound: float) -> tuple[float, float]:
+        """Init range of relation rows; entity rows draw from [-bound, bound]."""
+        return -bound, bound
 
-    # L2 term over the distinct touched rows; entity and relation rows summed apart.
-    touched = store.tables[0][1][grad.rows]
-    split = np.searchsorted(grad.rows, n_ent)
-    loss += kind.l2_coeff * float((touched[:split] ** 2).sum() + (touched[split:] ** 2).sum())
-    grad.values += 2.0 * kind.l2_coeff * touched
-    return loss, {"entities": grad}
+    def score_context(self, store: EmbeddingStore):
+        """What ``score_rows`` needs from the whole store, taken once per call."""
+        return None
+
+    def lift_relations(self, rows: np.ndarray) -> np.ndarray:
+        """Relation rows as real vectors of the entity row width."""
+        return rows
 
 
-def _rotate_loss_grad(kind: RotatE, store, graph, positives, rng):
-    k = kind.negatives
-    eta = kind.margin
-    negatives = corrupt_batch(graph, positives, rng, k)
-    trig = _rotate_trig(store)
-    d = store.dim
-    n_pos, n_neg = len(positives), len(negatives)
-    # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
-    ent_contrib = np.empty((2 * (n_pos + n_neg), 2 * d), order="F")
-    rel_contrib = np.empty((n_pos + n_neg, d), order="F")
+@dataclass(frozen=True)
+class TransE(ModelKind):
+    norm: str = "l1"  # "l1" or "l2"
+    margin: float = 1.0
 
-    def terms(tr, dldf_of, g_h, g_t, g_r):
-        """Scores of a triple block, chained into entity-row and phase gradients."""
-        f = np.empty(len(tr))
+    projects_entities = True
+
+    def __post_init__(self):
+        if self.norm not in ("l1", "l2"):
+            raise DataError(f"unsupported norm {self.norm!r}")
+
+    def header_fields(self):
+        return 0, 1 if self.norm == "l1" else 2, self.margin, 0
+
+    def score_rows(self, store, context, h, r, t):
+        delta = store.entities[h] + store.relations[r] - store.entities[t]
+        return (-np.abs(delta).sum(axis=1) if self.norm == "l1"
+                else -np.sqrt((delta * delta).sum(axis=1)))
+
+    def loss_grad(self, store, positives, negatives):
+        ent, rel, n_ent = store.entities, store.relations, store.n_entities
+        n, r = len(positives), positives[:, 1]
+
+        def parts(tr, rel_rows):
+            """Distances ||h + r - t|| of a triple chunk and their gradients in h."""
+            delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
+            if self.norm == "l1":
+                return np.abs(delta).sum(axis=1), np.sign(delta)
+            norm = np.sqrt((delta * delta).sum(axis=1))
+            safe = np.where(norm > 0.0, norm, 1.0)
+            return norm, np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
+
+        violation = np.empty(n)
+        # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
+        # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
+        # reach the sums, which start from +0.0.
+        contrib = np.empty((5 * n, store.dim), order="F")
+        g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
 
         def chunk(rows):
-            a, b, modulus, cos, sin, t_re, t_im = _rotate_parts(
-                store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
-            f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
-            neg_dldf = -dldf_of(f_rows)[:, None]
-            # (da, db) = -(a, b) / modulus * dldf where the modulus is
-            # nonzero and 0 * dldf elsewhere, as (a, b) / modulus, or -0.0,
-            # times -dldf: the same products, sign for sign.
-            zero = ~(modulus > 0.0)
-            np.copyto(modulus, 1.0, where=zero)
-            da = np.divide(a, modulus)
-            np.copyto(da, -0.0, where=zero)
-            da *= neg_dldf
-            db = np.divide(b, modulus, out=modulus)
-            np.copyto(db, -0.0, where=zero)
-            db *= neg_dldf
-            # Rows gr = db (a + t_re) - da (b + t_im), gh = (da cos + db sin,
-            # db cos - da sin) and gt = -(da, db), built in the spent C-ordered
-            # arrays and copied once into the column-major buffers.
-            a += t_re
-            a *= db
-            b += t_im
-            b *= da
-            a -= b
-            g_r[rows] = a
-            gh, gt = g_h[rows], g_t[rows]
-            block = np.multiply(db, cos, out=t_re)
-            block -= np.multiply(da, sin, out=b)
-            gh[:, d:] = block
-            np.multiply(da, cos, out=block)
-            block += np.multiply(db, sin, out=b)
-            gh[:, :d] = block
-            gt[:, :d] = np.negative(da, out=da)
-            gt[:, d:] = np.negative(db, out=db)
+            rel_rows = rel.take(r[rows], 0)
+            d_pos, g_pos = parts(positives[rows], rel_rows)
+            d_neg, g_neg = parts(negatives[rows], rel_rows)
+            # f_neg - f_pos + margin with f = -distance, bit for bit.
+            v = np.subtract(d_pos, d_neg, out=violation[rows])
+            v += self.margin
+            inactive = ~(v > 0.0)
+            g_pos[inactive] = 0.0
+            g_neg[inactive] = 0.0
+            g_hp[rows] = g_pos
+            g_tn[rows] = g_neg
+            g_r[rows] = g_pos - g_neg
+            g_tp[rows] = np.negative(g_pos, out=g_pos)
+            g_hn[rows] = np.negative(g_neg, out=g_neg)
 
-        _run_chunks(chunk, _row_chunks(len(tr)))
-        return f
+        _run_chunks(chunk, _row_chunks(n))
+        loss = float(violation[violation > 0.0].sum())
+        ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
+                              r + n_ent])
+        return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations)}
 
-    f_pos = terms(positives, lambda f: -expit(-(eta + f)),
-                  ent_contrib[:n_pos], ent_contrib[n_pos:2 * n_pos], rel_contrib[:n_pos])
-    f_neg = terms(negatives, lambda f: expit(eta + f) / k,
-                  ent_contrib[2 * n_pos:2 * n_pos + n_neg], ent_contrib[2 * n_pos + n_neg:],
-                  rel_contrib[n_pos:])
-    loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
-    ent_rows = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2]])
-    rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
-    return loss, {
-        "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
-        "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
-    }
+
+@dataclass(frozen=True)
+class DistMult(ModelKind):
+    l2_coeff: float = 1e-5
+    negatives: int = 10
+
+    def header_fields(self):
+        return 1, 0, self.l2_coeff, self.negatives
+
+    def score_rows(self, store, context, h, r, t):
+        return (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
+
+    def loss_grad(self, store, positives, negatives):
+        labeled = np.concatenate([positives, negatives])
+        neg_y = np.repeat([-1.0, 1.0], [len(positives), len(negatives)])  # -label
+        ent, rel = store.entities, store.relations
+        h, r, t = labeled[:, 0], labeled[:, 1], labeled[:, 2]
+        n = len(labeled)
+
+        z = np.empty(n)
+        # Rows h, t and r of the labeled triples.
+        contrib = np.empty((3 * n, store.dim), order="F")
+        g_h, g_t, g_r = contrib[:n], contrib[n:2 * n], contrib[2 * n:]
+
+        def chunk(rows):
+            # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
+            # (dldf eh) et, built in a C-ordered block and copied into the
+            # column-major buffer.
+            eh, er, et = ent.take(h[rows], 0), rel.take(r[rows], 0), ent.take(t[rows], 0)
+            block = eh * er
+            block *= et
+            y_rows = neg_y[rows]
+            z_rows = np.multiply(y_rows, block.sum(axis=1), out=z[rows])
+            dldf = (y_rows * expit(z_rows))[:, None]
+            np.multiply(dldf, er, out=block)
+            block *= et
+            g_h[rows] = block
+            eh *= dldf
+            g_t[rows] = np.multiply(eh, er, out=block)
+            g_r[rows] = np.multiply(eh, et, out=block)
+
+        _run_chunks(chunk, _row_chunks(n))
+        loss = float(_softplus(z).sum())
+        n_ent = store.n_entities
+        grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
+
+        # L2 term over the distinct touched rows; entity and relation rows summed apart.
+        touched = store.tables[0][1][grad.rows]
+        split = np.searchsorted(grad.rows, n_ent)
+        loss += self.l2_coeff * float((touched[:split] ** 2).sum() + (touched[split:] ** 2).sum())
+        grad.values += 2.0 * self.l2_coeff * touched
+        return loss, {"entities": grad}
+
+
+def _rotate_trig(store: EmbeddingStore):
+    """(cos, sin) of every relation phase, one row per relation."""
+    return np.cos(store.relations), np.sin(store.relations)
+
+
+@dataclass(frozen=True)
+class RotatE(ModelKind):
+    margin: float = 5.0
+    negatives: int = 10
+
+    entity_parts = 2  # real and imaginary halves
+
+    def relation_range(self, bound):
+        return 0.0, 2.0 * np.pi
+
+    def score_context(self, store):
+        return _rotate_trig(store)
+
+    def lift_relations(self, rows):
+        # Phases as (cos, sin) pairs: real vectors comparable across relations.
+        return np.concatenate([np.cos(rows), np.sin(rows)], axis=1)
+
+    def header_fields(self):
+        return 2, 0, self.margin, self.negatives
+
+    def _residual(self, store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: np.ndarray):
+        """Per-dimension residual (a, b) of h o r - t and its modulus.
+
+        ``h``, ``r`` and ``t`` are index arrays. ``trig`` is
+        ``score_context(store)``; its rows are gathered, so the trig is taken
+        once per relation rather than once per triple.
+        """
+        d = store.dim
+        ent = store.entities
+        h_re, h_im = ent[h, :d], ent[h, d:]
+        t_re, t_im = ent[t, :d], ent[t, d:]
+        cos, sin = trig[0].take(r, 0), trig[1].take(r, 0)
+        # a = h_re cos - h_im sin - t_re, b = h_re sin + h_im cos - t_im and
+        # sqrt(a a + b b), evaluated in that order, reusing the gathered halves
+        # of h once they are spent.
+        a = h_re * cos
+        modulus = h_im * sin
+        a -= modulus
+        a -= t_re
+        b = np.multiply(h_re, sin, out=h_re)
+        b += np.multiply(h_im, cos, out=h_im)
+        b -= t_im
+        np.multiply(a, a, out=modulus)
+        modulus += np.multiply(b, b, out=h_im)
+        np.sqrt(modulus, out=modulus)
+        return a, b, modulus, cos, sin, t_re, t_im
+
+    def score_rows(self, store, context, h, r, t):
+        return -self._residual(store, context, h, r, t)[2].sum(axis=1)
+
+    def loss_grad(self, store, positives, negatives):
+        k = self.negatives
+        eta = self.margin
+        trig = self.score_context(store)
+        d = store.dim
+        n_pos, n_neg = len(positives), len(negatives)
+        # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
+        ent_contrib = np.empty((2 * (n_pos + n_neg), 2 * d), order="F")
+        rel_contrib = np.empty((n_pos + n_neg, d), order="F")
+
+        def terms(tr, dldf_of, g_h, g_t, g_r):
+            """Scores of a triple block, chained into entity-row and phase gradients."""
+            f = np.empty(len(tr))
+
+            def chunk(rows):
+                a, b, modulus, cos, sin, t_re, t_im = self._residual(
+                    store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
+                f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
+                neg_dldf = -dldf_of(f_rows)[:, None]
+                # (da, db) = -(a, b) / modulus * dldf where the modulus is
+                # nonzero and 0 * dldf elsewhere, as (a, b) / modulus, or -0.0,
+                # times -dldf: the same products, sign for sign.
+                zero = ~(modulus > 0.0)
+                np.copyto(modulus, 1.0, where=zero)
+                da = np.divide(a, modulus)
+                np.copyto(da, -0.0, where=zero)
+                da *= neg_dldf
+                db = np.divide(b, modulus, out=modulus)
+                np.copyto(db, -0.0, where=zero)
+                db *= neg_dldf
+                # Rows gr = db (a + t_re) - da (b + t_im), gh = (da cos + db sin,
+                # db cos - da sin) and gt = -(da, db), built in the spent C-ordered
+                # arrays and copied once into the column-major buffers.
+                a += t_re
+                a *= db
+                b += t_im
+                b *= da
+                a -= b
+                g_r[rows] = a
+                gh, gt = g_h[rows], g_t[rows]
+                block = np.multiply(db, cos, out=t_re)
+                block -= np.multiply(da, sin, out=b)
+                gh[:, d:] = block
+                np.multiply(da, cos, out=block)
+                block += np.multiply(db, sin, out=b)
+                gh[:, :d] = block
+                gt[:, :d] = np.negative(da, out=da)
+                gt[:, d:] = np.negative(db, out=db)
+
+            _run_chunks(chunk, _row_chunks(len(tr)))
+            return f
+
+        f_pos = terms(positives, lambda f: -expit(-(eta + f)),
+                      ent_contrib[:n_pos], ent_contrib[n_pos:2 * n_pos], rel_contrib[:n_pos])
+        f_neg = terms(negatives, lambda f: expit(eta + f) / k,
+                      ent_contrib[2 * n_pos:2 * n_pos + n_neg], ent_contrib[2 * n_pos + n_neg:],
+                      rel_contrib[n_pos:])
+        loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
+        ent_rows = np.concatenate([positives[:, 0], positives[:, 2],
+                                   negatives[:, 0], negatives[:, 2]])
+        rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
+        return loss, {
+            "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
+            "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
+        }
 
 
 def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
@@ -684,11 +689,7 @@ def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if len(positives) == 0:
         raise DataError("loss_and_grad requires a nonempty batch of positives")
-    if isinstance(kind, TransE):
-        return _transe_loss_grad(kind, store, graph, positives, rng)
-    if isinstance(kind, DistMult):
-        return _distmult_loss_grad(kind, store, graph, positives, rng)
-    return _rotate_loss_grad(kind, store, graph, positives, rng)
+    return kind.loss_grad(store, positives, corrupt_batch(graph, positives, rng, kind.negatives))
 
 
 # -- optimizer -----------------------------------------------------------------
@@ -797,14 +798,6 @@ _VERSION = 1
 _HEADER = struct.Struct("<4sIBBdIQQQQQ")
 
 
-def _kind_to_fields(kind: ModelKind):
-    if isinstance(kind, TransE):
-        return _KIND_CODES[TransE], 1 if kind.norm == "l1" else 2, kind.margin, 0
-    if isinstance(kind, DistMult):
-        return _KIND_CODES[DistMult], 0, kind.l2_coeff, kind.negatives
-    return _KIND_CODES[RotatE], 0, kind.margin, kind.negatives
-
-
 def _kind_from_fields(code: int, norm: int, param_a: float, param_k: int) -> ModelKind:
     if code == 0:
         if norm not in (1, 2):
@@ -820,8 +813,7 @@ def _kind_from_fields(code: int, norm: int, param_a: float, param_k: int) -> Mod
 
 
 def save_store(path, store: EmbeddingStore) -> None:
-    code, norm, param_a, param_k = _kind_to_fields(store.kind)
-    header = _HEADER.pack(_MAGIC, _VERSION, code, norm, param_a, param_k,
+    header = _HEADER.pack(_MAGIC, _VERSION, *store.kind.header_fields(),
                           store.n_entities, store.n_relations, store.dim,
                           store.step, store.step)
     with atomic_write(path, binary=True) as handle:
@@ -857,7 +849,7 @@ def read_matrices(handle, path, shapes) -> list[np.ndarray]:
 
 
 def load_store(path) -> EmbeddingStore:
-    with open(path, "rb") as handle:
+    with open_input(path, "rb") as handle:
         raw = handle.read(_HEADER.size)
         if len(raw) != _HEADER.size:
             raise DataError(f"{path}: truncated checkpoint header")

@@ -60,7 +60,7 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
     n = len(triples)
     if n == 0:
         raise DataError("cannot train on an empty triple set")
-    project = _normalize_entity_rows if isinstance(kind, TransE) else None
+    project = _normalize_entity_rows if kind.projects_entities else None
     order = rng.permutation(n)
     total = 0.0
     for start in range(0, n, batch_size):

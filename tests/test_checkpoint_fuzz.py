@@ -182,3 +182,10 @@ def test_zero_rows_of_huge_width_are_rejected(load, original, header, size_field
         fields[i] = value
     loaded = load_forged(load, header.pack(*fields))
     assert isinstance(loaded, DataError) and "dimension above the file size" in str(loaded)
+
+
+@pytest.mark.parametrize("load", [load_store, load_policy], ids=["model", "policy"])
+def test_unreadable_checkpoint_is_a_data_error(tmp_path, load):
+    for path in (tmp_path / "missing.ckpt", tmp_path):  # no such file; a directory
+        with pytest.raises(DataError, match=f"cannot read {path}: "):
+            load(path)

@@ -122,6 +122,20 @@ def test_evaluate_non_finite_checkpoint_exits_two(data_dir, tmp_path, capsys):
     assert "Traceback" not in err and not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("command, args", [
+    ("evaluate", ["--graph", "{data}", "--out", "{out}/report.json"]),
+    ("cluster", ["--data", "{data}", "--k", "2", "--out", "{out}/clusters.tsv"]),
+], ids=["evaluate", "cluster"])
+def test_missing_checkpoint_exits_two(data_dir, tmp_path, capsys, command, args):
+    missing = tmp_path / "missing.ckpt"
+    code = run([command, "--checkpoint", str(missing),
+                *(arg.format(data=data_dir, out=tmp_path) for arg in args)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: cannot read {missing}: No such file or directory" in err
+    assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [data_dir]
+
+
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_threads_below_one_is_a_usage_error(data_dir, tmp_path, capsys, count):
     code = run(["--threads", count, "inject-noise", "--rate", "0.25", "--in", str(data_dir),

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from conftest import chunk_threads, make_graph, random_graph
 from kgedenoise import models, trainer
 from kgedenoise.errors import DataError, NumericError
+from kgedenoise.evaluation import link_prediction
 from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
                                TransE, adam_step, corrupt_batch, init_embeddings,
                                load_store, loss_and_grad, save_store,
@@ -149,8 +150,39 @@ def test_one_vs_all_scorers_match_batch():
         all_heads = score_all_heads(kind, store, 1, 5)
         tail_triples = np.array([[2, 1, t] for t in range(9)])
         head_triples = np.array([[h, 1, 5] for h in range(9)])
-        np.testing.assert_allclose(all_tails, score_batch(kind, store, tail_triples), rtol=1e-12)
-        np.testing.assert_allclose(all_heads, score_batch(kind, store, head_triples), rtol=1e-12)
+        assert np.array_equal(bits(all_tails), bits(score_batch(kind, store, tail_triples)))
+        assert np.array_equal(bits(all_heads), bits(score_batch(kind, store, head_triples)))
+
+
+@ALL_KINDS
+def test_one_vs_all_scoring_ignores_chunk_size_and_thread_count(kind):
+    # 30 candidates make five chunks of 7 rows, which run on the chunk pool.
+    graph = random_graph(np.random.default_rng(5), n_entities=30, n_relations=3,
+                         n_train=40, n_valid=4, n_test=6)
+    store = init_embeddings(30, 3, 5, kind, seed=2)
+
+    def one_vs_all():
+        queries = graph.test.tolist()
+        scores = ([score_all_heads(kind, store, r, t) for _, r, t in queries]
+                  + [score_all_tails(kind, store, h, r) for h, r, _ in queries])
+        return bits(np.array(scores)), link_prediction(kind, store, graph).ranks
+
+    expected_scores, expected_ranks = one_vs_all()
+    run_chunks = models._run_chunks
+    pieces = []
+
+    def counting(body, chunks):
+        chunks = list(chunks)
+        pieces.append(len(chunks))
+        return run_chunks(body, chunks)
+
+    for threads in (1, 2):
+        with chunk_threads(threads), mock.patch.object(models, "_ROW_BLOCK", 7), \
+                mock.patch.object(models, "_run_chunks", counting):
+            scores, ranks = one_vs_all()
+        assert np.array_equal(scores, expected_scores)
+        assert np.array_equal(ranks, expected_ranks)
+    assert min(pieces) == 5
 
 
 @ALL_KINDS
