@@ -69,13 +69,11 @@ def state_dim_for(store: EmbeddingStore) -> int:
     return 5 * store.entities.shape[1]
 
 
-def build_state(store: EmbeddingStore, relation: int, triple, sel_head_mean: np.ndarray,
-                sel_tail_mean: np.ndarray) -> np.ndarray:
-    """Concatenate relation, head, tail and the two selected-so-far means."""
-    rel = relation_features(store.kind, store, np.array([relation]))[0]
-    head = store.entities[int(triple[0])]
-    tail = store.entities[int(triple[2])]
-    return np.concatenate([rel, head, tail, sel_head_mean, sel_tail_mean])
+def policy_states(rel_feat: np.ndarray, heads: np.ndarray, tails: np.ndarray,
+                  mean_heads: np.ndarray, mean_tails: np.ndarray) -> np.ndarray:
+    """The (n, 5W) states: relation row, head and tail rows, selected-so-far means."""
+    rel = np.broadcast_to(rel_feat, (len(heads), len(rel_feat)))
+    return np.concatenate([rel, heads, tails, mean_heads, mean_tails], axis=1)
 
 
 def effective_weight(params: PolicyParams, clusters: RelationClusters | None,
@@ -132,10 +130,7 @@ class Trajectory:
 
     def states(self) -> np.ndarray:
         """Materialize the (n, 5W) state matrix of the episode."""
-        n = len(self)
-        mean_h, mean_t = self.prior_means()
-        rel = np.broadcast_to(self.rel_feat, (n, len(self.rel_feat)))
-        return np.concatenate([rel, self.heads, self.tails, mean_h, mean_t], axis=1)
+        return policy_states(self.rel_feat, self.heads, self.tails, *self.prior_means())
 
 
 def sample_trajectory(params: PolicyParams, clusters: RelationClusters | None,

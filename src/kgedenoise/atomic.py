@@ -14,6 +14,8 @@ import contextlib
 import os
 import secrets
 
+from .errors import DataError
+
 
 @contextlib.contextmanager
 def atomic_write(path, binary: bool = False):
@@ -21,19 +23,20 @@ def atomic_write(path, binary: bool = False):
 
     The temporary file sits in the target's directory, so the rename stays
     within one file system, and is created with ``open(..., "x")``, so it
-    gets the same permissions a plain ``open`` would. If the block raises,
-    the temporary file is removed and the exception propagates.
+    gets the same permissions a plain ``open`` would; if it cannot be
+    created, ``DataError`` is raised. If the block raises, the temporary
+    file is removed and the exception propagates.
     """
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
     temp = os.path.join(directory, f".{name}.{secrets.token_hex(6)}.tmp")
     try:
-        if binary:
-            with open(temp, "xb") as handle:
-                yield handle
-        else:
-            with open(temp, "x", encoding="utf-8") as handle:
-                yield handle
+        handle = open(temp, "xb") if binary else open(temp, "x", encoding="utf-8")
+    except OSError as exc:
+        raise DataError(f"cannot write {path}: {exc.strerror}") from None
+    try:
+        with handle:
+            yield handle
         os.replace(temp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

@@ -20,14 +20,12 @@ from . import clustering, experiments, noise, trainer
 from .config import TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
-from .graph import load_flags, load_graph, write_flags, write_triples
-from .models import load_store, save_store, score_batch, set_max_threads
+from .graph import load_flags, load_graph_dir, write_flags, write_triples
+from .models import load_store, relation_features, save_store, score_batch, set_max_threads
 from .noise import make_classification_negatives
 from .seeding import seed_for
 
 logger = logging.getLogger(__name__)
-
-SPLIT_FILES = ("train.txt", "valid.txt", "test.txt")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -35,12 +33,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _load_dir(data_dir):
-    paths = [os.path.join(data_dir, name) for name in SPLIT_FILES]
-    for path in paths:
-        if not os.path.exists(path):
-            raise DataError(f"missing split file {path}")
-    return load_graph(*paths)
+def _create_dir(directory) -> None:
+    """``os.makedirs(directory, exist_ok=True)``; a failure is a data error."""
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {directory}: {exc.strerror}") from None
 
 
 def _apply_threads(count: int | None) -> None:
@@ -59,9 +57,9 @@ def _apply_threads(count: int | None) -> None:
 
 
 def cmd_inject_noise(args) -> int:
-    graph = _load_dir(args.in_dir)
+    graph = load_graph_dir(args.in_dir)
     noisy = noise.inject_noise(graph, args.rate, args.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
+    _create_dir(args.out_dir)
     write_triples(os.path.join(args.out_dir, "train.txt"), noisy, noisy.train)
     write_triples(os.path.join(args.out_dir, "valid.txt"), noisy, noisy.valid)
     write_triples(os.path.join(args.out_dir, "test.txt"), noisy, noisy.test)
@@ -72,14 +70,13 @@ def cmd_inject_noise(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    graph = _load_dir(args.data)
+    graph = load_graph_dir(args.data)
     store = load_store(args.checkpoint)
     if store.n_relations != graph.n_relations:
         raise DataError("checkpoint relation count does not match the data directory")
-    from .models import relation_features
-
     features = relation_features(store.kind, store, np.arange(store.n_relations))
     clusters = clustering.kmeans(features, args.k, args.seed)
+    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     clustering.save_clusters(args.out, clusters, graph.relation_vocab)
     print(f"wrote {args.k} clusters for {graph.n_relations} relations to {args.out}")
     return 0
@@ -99,9 +96,9 @@ def _build_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
-    graph = _load_dir(args.data)
+    graph = load_graph_dir(args.data)
     kind = trainer.model_kind(config)
-    os.makedirs(args.out, exist_ok=True)
+    _create_dir(args.out)
     write_config(os.path.join(args.out, "config_used.cfg"), config)
 
     mask = np.ones(len(graph.train), dtype=bool)
@@ -129,7 +126,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    graph = _load_dir(args.graph)
+    graph = load_graph_dir(args.graph)
     store = load_store(args.checkpoint)
     if (store.n_entities, store.n_relations) != (graph.n_entities, graph.n_relations):
         raise DataError(f"checkpoint has {store.n_entities} entities and {store.n_relations} "
@@ -158,6 +155,7 @@ def cmd_evaluate(args) -> int:
             report["noise_f1_score_sweep"] = noise_detection_f1(
                 score_batch(kind, store, graph.train), labels)
 
+    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     experiments.write_report(report, args.out)
     print(f"mrr={lp.mrr:.4f} hits@10={lp.hits[10]:.4f} "
           f"accuracy={cls.accuracy:.4f}; report at {args.out}")
@@ -166,7 +164,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     report = experiments.run_synthetic_experiment(args.preset, args.seed)
-    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
+    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     experiments.write_report(report, args.out)
     mode = experiments.PRESETS[args.preset].mode
     agents = report["models"][mode]

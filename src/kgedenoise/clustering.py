@@ -30,9 +30,6 @@ class RelationClusters:
     def size(self, cluster: int) -> int:
         return int((self.assignment == cluster).sum())
 
-    def sizes(self) -> np.ndarray:
-        return np.bincount(self.assignment, minlength=self.k)
-
     @classmethod
     def singletons(cls, n_relations: int, dim: int = 0) -> "RelationClusters":
         """One relation per cluster; the trivial k = |R| clustering."""

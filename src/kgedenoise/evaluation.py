@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, relation_groups
 from .models import EmbeddingStore, ModelKind, score_all_heads, score_all_tails, score_batch
 
 HITS_AT = (1, 3, 10)
@@ -129,24 +129,23 @@ def link_prediction(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGrap
     heads_of, tails_of = _known_index(graph)
 
     ranks = []
-    by_relation = defaultdict(list)
     for h, r, t in graph.test.tolist():
         head_scores = score_all_heads(kind, store, r, t)
-        head_rank = filtered_rank(head_scores, h, heads_of[(r, t)])
+        ranks.append(filtered_rank(head_scores, h, heads_of[(r, t)]))
         tail_scores = score_all_tails(kind, store, h, r)
-        tail_rank = filtered_rank(tail_scores, t, tails_of[(h, r)])
-        ranks.extend((head_rank, tail_rank))
-        by_relation[r].extend((head_rank, tail_rank))
+        ranks.append(filtered_rank(tail_scores, t, tails_of[(h, r)]))
 
     ranks = np.asarray(ranks, dtype=np.int64)
     reciprocal = 1.0 / ranks
+    query_relations = np.repeat(graph.test[:, 1], 2)
     per_relation = {
         r: {
-            "mrr": float((1.0 / np.asarray(rs)).mean()),
-            "hits10": float((np.asarray(rs) <= 10).mean()),
-            "queries": float(len(rs)),
+            "mrr": float(reciprocal[rows].mean()),
+            "hits10": float((ranks[rows] <= 10).mean()),
+            "queries": float(len(rows)),
         }
-        for r, rs in sorted(by_relation.items())
+        for r, rows in enumerate(relation_groups(query_relations, graph.n_relations))
+        if len(rows)
     }
     return LinkPredictionResult(
         mrr=float(reciprocal.mean()),
@@ -164,21 +163,19 @@ def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
 
     Candidates are the midpoints of consecutive sorted scores plus
     sentinels below and above everything; ties prefer the lowest
-    threshold.
+    threshold. Scores must not be NaN. The scores below a candidate are
+    predicted negative: ``searchsorted`` counts them, and cumulative counts
+    over the sorted labels tell how many are negatives.
     """
     order = np.argsort(scores, kind="stable")
     sorted_scores = scores[order]
-    candidates = [sorted_scores[0] - 1.0]
-    candidates.extend((sorted_scores[i] + sorted_scores[i + 1]) / 2.0
-                      for i in range(len(sorted_scores) - 1))
-    candidates.append(sorted_scores[-1] + 1.0)
-
-    best_threshold, best_accuracy = None, -1.0
-    for threshold in candidates:
-        accuracy = float(((scores >= threshold) == (labels > 0)).mean())
-        if accuracy > best_accuracy:
-            best_threshold, best_accuracy = float(threshold), accuracy
-    return best_threshold
+    candidates = np.concatenate([[sorted_scores[0] - 1.0],
+                                 (sorted_scores[:-1] + sorted_scores[1:]) / 2.0,
+                                 [sorted_scores[-1] + 1.0]])
+    below = np.searchsorted(sorted_scores, candidates)
+    negatives_below = np.concatenate([[0], np.cumsum(labels[order] <= 0)])[below]
+    correct = np.count_nonzero(labels > 0) - (below - negatives_below) + negatives_below
+    return float(candidates[np.argmax(correct / len(scores))])
 
 
 @dataclass
@@ -204,16 +201,18 @@ def triple_classification(kind: ModelKind, store: EmbeddingStore,
     test_scores = score_batch(kind, store, test_triples)
 
     global_threshold = _best_threshold(valid_scores, valid_labels)
-    thresholds = {}
-    for r in np.unique(valid_triples[:, 1]).tolist():
-        rows = valid_triples[:, 1] == r
-        thresholds[r] = _best_threshold(valid_scores[rows], valid_labels[rows])
+    thresholds = {
+        r: _best_threshold(valid_scores[rows], valid_labels[rows])
+        for r, rows in enumerate(relation_groups(valid_triples[:, 1], store.n_relations))
+        if len(rows)
+    }
 
     per_query = np.array([thresholds.get(r, global_threshold) for r in test_triples[:, 1]])
     correct = (test_scores >= per_query) == (test_labels > 0)
     per_relation = {
-        int(r): float(correct[test_triples[:, 1] == r].mean())
-        for r in np.unique(test_triples[:, 1]).tolist()
+        r: float(correct[rows].mean())
+        for r, rows in enumerate(relation_groups(test_triples[:, 1], store.n_relations))
+        if len(rows)
     }
     return ClassificationResult(
         accuracy=float(correct.mean()),

@@ -12,14 +12,13 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 from dataclasses import dataclass, field
 
 from .atomic import atomic_write
 from .config import TrainConfig
-from .errors import DataError, UsageError
+from .errors import UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
-from .graph import KnowledgeGraph, load_graph
+from .graph import KnowledgeGraph, load_graph_dir
 from .models import score_batch
 from .noise import inject_noise, make_classification_negatives
 from .seeding import seed_for
@@ -78,11 +77,10 @@ FULLSCALE_CONFIG = TrainConfig(
 )
 
 
-def evaluate_store(kind, store, graph: KnowledgeGraph, labels, mask, seed: int) -> dict:
-    """Shared evaluation block: noise F1, filtered ranking, classification."""
+def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, labels, mask) -> dict:
+    """Noise F1, filtered ranking, and classification on the run's one ``negatives`` set."""
     lp = link_prediction(kind, store, graph)
-    vt, vl, tt, tl = make_classification_negatives(graph, seed_for(seed, "class-negatives"))
-    cls = triple_classification(kind, store, vt, vl, tt, tl)
+    cls = triple_classification(kind, store, *negatives)
     out = {
         "mrr": lp.mrr,
         "hits": {str(n): v for n, v in sorted(lp.hits.items())},
@@ -114,6 +112,7 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
     )
     graph = inject_noise(clean, preset.noise_rate, seed_for(seed, "noise"))
     labels = graph.train_labels
+    negatives = make_classification_negatives(graph, seed_for(seed, "class-negatives"))
 
     report: dict = {
         "preset": preset.name,
@@ -132,19 +131,19 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
     logger.info("preset %s seed %d: plain baseline", preset.name, seed)
     plain_cfg = config.replace(seed=seed_for(seed, "plain"))
     plain = pretrain_kge(graph, kind, plain_cfg)
-    report["models"]["plain"] = evaluate_store(kind, plain.store, graph, labels, None, seed)
+    report["models"]["plain"] = evaluate_store(kind, plain.store, graph, negatives, labels, None)
 
     logger.info("preset %s seed %d: selection agents (%s)", preset.name, seed, preset.mode)
     joint_cfg = config.replace(seed=seed_for(seed, "joint"))
     joint = joint_train(graph, kind, preset.mode, joint_cfg)
-    report["models"][preset.mode] = evaluate_store(kind, joint.store, graph, labels,
-                                                   joint.mask, seed)
+    report["models"][preset.mode] = evaluate_store(kind, joint.store, graph, negatives,
+                                                   labels, joint.mask)
 
     logger.info("preset %s seed %d: score-filter baseline", preset.name, seed)
     xscore_cfg = config.replace(seed=seed_for(seed, "xscore"))
     xscore = xscore_baseline(graph, kind, config.delta, xscore_cfg)
-    report["models"]["xscore"] = evaluate_store(kind, xscore.store, graph, labels,
-                                                xscore.mask, seed)
+    report["models"]["xscore"] = evaluate_store(kind, xscore.store, graph, negatives,
+                                                labels, xscore.mask)
     report["models"]["xscore"]["pretrain_score_sweep_f1"] = noise_detection_f1(
         xscore.pretrain_scores, labels)
 
@@ -168,12 +167,9 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
 
 def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: str) -> dict:
     """Noise-inject an on-disk benchmark and run plain + selected variants."""
-    paths = [os.path.join(data_dir, name) for name in ("train.txt", "valid.txt", "test.txt")]
-    for path in paths:
-        if not os.path.exists(path):
-            raise DataError(f"missing split file {path}")
-    clean = load_graph(*paths)
+    clean = load_graph_dir(data_dir)
     graph = inject_noise(clean, noise_rate, seed_for(config.seed, "noise"))
+    negatives = make_classification_negatives(graph, seed_for(config.seed, "class-negatives"))
     kind = model_kind(config)
 
     plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(config.seed, "plain")))
@@ -181,15 +177,15 @@ def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: 
         "data_dir": str(data_dir),
         "noise_rate": noise_rate,
         "models": {
-            "plain": evaluate_store(kind, plain.store, graph, graph.train_labels,
-                                    None, config.seed),
+            "plain": evaluate_store(kind, plain.store, graph, negatives, graph.train_labels,
+                                    None),
         },
     }
     if mode in ("strl", "mtrl"):
         joint = joint_train(graph, kind, mode,
                             config.replace(seed=seed_for(config.seed, "joint")))
-        report["models"][mode] = evaluate_store(kind, joint.store, graph,
-                                                graph.train_labels, joint.mask, config.seed)
+        report["models"][mode] = evaluate_store(kind, joint.store, graph, negatives,
+                                                graph.train_labels, joint.mask)
     return report
 
 

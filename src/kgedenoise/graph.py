@@ -12,8 +12,9 @@ sidecars, one ``0``/``1`` per train line, with one writer and one reader.
 from __future__ import annotations
 
 import logging
+import os
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -45,12 +46,6 @@ def text_lines(path):
             yield from enumerate(handle, start=1)
         except UnicodeDecodeError as exc:
             raise DataError(f"{path}: not UTF-8 text ({exc.reason})") from None
-
-
-class Triple(NamedTuple):
-    head: int
-    relation: int
-    tail: int
 
 
 class Vocabulary:
@@ -114,6 +109,14 @@ class LoadReport:
             )
 
 
+def relation_groups(relations: np.ndarray, n_relations: int) -> list[np.ndarray]:
+    """Ascending, read-only positions of each id r = 0, 1, ... in ``relations``
+    (at least ``n_relations`` entries, some maybe empty): one stable sort, split."""
+    order = np.argsort(relations, kind="stable")
+    order.setflags(write=False)
+    return np.split(order, np.cumsum(np.bincount(relations, minlength=n_relations))[:-1])
+
+
 def _as_triple_array(rows: Sequence[tuple[int, int, int]]) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.int64)
     if arr.size == 0:
@@ -158,7 +161,7 @@ class KnowledgeGraph:
             [self.encode_array(s) for s in (self.train, self.valid, self.test)]
         )
         self.positive_index = frozenset(encoded.tolist())
-        self._rel_positions = self._build_relation_index()
+        self._rel_positions = relation_groups(self.train[:, 1], self.n_relations)
 
     # -- construction helpers -------------------------------------------------
 
@@ -179,15 +182,6 @@ class KnowledgeGraph:
                 raise DataError(f"{name} split references an out-of-range entity id")
             if arr[:, 1].max() >= n_rel or arr[:, 1].min() < 0:
                 raise DataError(f"{name} split references an out-of-range relation id")
-
-    def _build_relation_index(self) -> dict[int, np.ndarray]:
-        index: dict[int, np.ndarray] = {}
-        rels = self.train[:, 1]
-        for r in range(self.n_relations):
-            pos = np.flatnonzero(rels == r)
-            pos.setflags(write=False)
-            index[r] = pos
-        return index
 
     # -- positive-index access -------------------------------------------------
 
@@ -290,6 +284,11 @@ def load_graph(train_path, valid_path, test_path) -> KnowledgeGraph:
         _as_triple_array(test_rows),
         load_report=report,
     )
+
+
+def load_graph_dir(data_dir) -> KnowledgeGraph:
+    """``load_graph`` over ``train.txt``, ``valid.txt`` and ``test.txt`` in ``data_dir``."""
+    return load_graph(*(os.path.join(data_dir, f"{split}.txt") for split in SPLITS))
 
 
 def write_triples(path, graph: KnowledgeGraph, triples: np.ndarray) -> None:

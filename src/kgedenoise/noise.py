@@ -27,17 +27,13 @@ _MAX_ATTEMPTS = 100
 class SlotIndex:
     """Distinct heads/tails observed per relation in the training split."""
 
-    heads: dict[int, np.ndarray]
-    tails: dict[int, np.ndarray]
+    heads: list[np.ndarray]     # indexed by relation id
+    tails: list[np.ndarray]
 
     @classmethod
-    def from_triples(cls, triples: np.ndarray, n_relations: int) -> "SlotIndex":
-        heads, tails = {}, {}
-        for r in range(n_relations):
-            rows = triples[triples[:, 1] == r]
-            heads[r] = np.unique(rows[:, 0])
-            tails[r] = np.unique(rows[:, 2])
-        return cls(heads, tails)
+    def from_graph(cls, graph: KnowledgeGraph) -> "SlotIndex":
+        rows = [graph.train[graph.relation_positions(r)] for r in range(graph.n_relations)]
+        return cls([np.unique(x[:, 0]) for x in rows], [np.unique(x[:, 2]) for x in rows])
 
 
 def _corrupt_once(triple, slot_index: SlotIndex, rng: np.random.Generator):
@@ -70,7 +66,7 @@ def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGrap
     rng = np.random.default_rng(seed)
     train = graph.train
     target = int(rate * len(train))
-    slot_index = SlotIndex.from_triples(train, graph.n_relations)
+    slot_index = SlotIndex.from_graph(graph)
 
     taken = set(graph.positive_index)
     injected: list[tuple[int, int, int]] = []
@@ -115,7 +111,7 @@ def make_classification_negatives(graph: KnowledgeGraph, seed: int):
     without a counterpart (logged), so counts may fall short of 2n.
     """
     rng = np.random.default_rng(seed)
-    slot_index = SlotIndex.from_triples(graph.train, graph.n_relations)
+    slot_index = SlotIndex.from_graph(graph)
 
     def build(split: np.ndarray):
         rows, labels = [], []

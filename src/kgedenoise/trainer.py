@@ -25,7 +25,8 @@ import numpy as np
 from scipy.special import expit
 
 from . import agent as agent_mod
-from .agent import PolicyParams, compute_reward, reinforce_update, sample_trajectory
+from .agent import (PolicyParams, compute_reward, policy_states, reinforce_update,
+                    sample_trajectory)
 from .atomic import atomic_write
 from .clustering import RelationClusters, kmeans
 from .config import TrainConfig
@@ -155,20 +156,6 @@ class RewardBaselines:
         return reward - previous
 
 
-def _zero_mean_states(kind: ModelKind, store: EmbeddingStore, relation: int,
-                      triples: np.ndarray) -> np.ndarray:
-    """Episode-start states (selected-means still zero) for a triple block."""
-    rel_feat = relation_features(kind, store, np.array([relation]))[0]
-    n, width = len(triples), store.entities.shape[1]
-    return np.concatenate([
-        np.broadcast_to(rel_feat, (n, width)),
-        store.entities[triples[:, 0]],
-        store.entities[triples[:, 2]],
-        np.zeros((n, width)),
-        np.zeros((n, width)),
-    ], axis=1)
-
-
 def mimic_score_filter(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParams,
                        config: TrainConfig) -> None:
     """Supervised warm start: teach each agent its model's own score judgment.
@@ -190,7 +177,10 @@ def mimic_score_filter(graph: KnowledgeGraph, store: EmbeddingStore, params: Pol
         if len(positions) == 0:
             continue
         triples = graph.train[positions]
-        states = _zero_mean_states(kind, store, r, triples)
+        heads, tails = store.entities[triples[:, 0]], store.entities[triples[:, 2]]
+        zeros = np.zeros_like(heads)  # episode start: no selected-so-far means yet
+        states = policy_states(relation_features(kind, store, np.array([r]))[0], heads, tails,
+                               zeros, zeros)
         scores = score_batch(kind, store, triples)
         keep = (scores >= np.quantile(scores, config.agent_mimic_quantile)).astype(np.float64)
 

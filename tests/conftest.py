@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from kgedenoise import models
 from kgedenoise.graph import KnowledgeGraph, Vocabulary
@@ -37,6 +38,14 @@ def random_graph(rng, n_entities=20, n_relations=3, n_train=40, n_valid=8, n_tes
         rows.append(triple)
     return make_graph(rows[:n_train], rows[n_train:n_train + n_valid],
                       rows[n_train + n_valid:], n_entities, n_relations)
+
+
+def small_graphs():
+    """Hypothesis graphs over 6 entities and 4 relations. A relation may have
+    no triple at all, or appear only in valid or test; train may be empty."""
+    triple = st.tuples(st.integers(0, 5), st.integers(0, 3), st.integers(0, 5))
+    splits = [st.lists(triple, max_size=size, unique=True) for size in (12, 4, 4)]
+    return st.tuples(*splits).map(lambda s: make_graph(*s, n_entities=6, n_relations=4))
 
 
 def central_difference(fn, x0, step=1e-5):

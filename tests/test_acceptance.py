@@ -16,8 +16,8 @@ import pytest
 
 from conftest import central_difference, random_graph
 from kgedenoise import experiments
-from kgedenoise.agent import (PolicyParams, build_state, compute_reward, policy_prob,
-                              sample_trajectory, surrogate_and_grad)
+from kgedenoise.agent import (PolicyParams, compute_reward, policy_prob, sample_trajectory,
+                              surrogate_and_grad)
 from kgedenoise.clustering import RelationClusters
 from kgedenoise.config import TrainConfig
 from kgedenoise.evaluation import link_prediction

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from conftest import central_difference, make_graph
-from kgedenoise.agent import (PolicyParams, build_state, compute_reward, effective_weight,
-                              load_policy, policy_prob, regularizer_and_grad,
+from kgedenoise.agent import (PolicyParams, compute_reward, effective_weight, load_policy,
+                              policy_prob, policy_states, regularizer_and_grad,
                               reinforce_update, sample_trajectory, save_policy,
                               state_dim_for, surrogate_and_grad)
 from kgedenoise.clustering import RelationClusters
 from kgedenoise.errors import DataError
-from kgedenoise.models import DistMult, EmbeddingStore, RotatE, TransE, init_embeddings
+from kgedenoise.models import (DistMult, EmbeddingStore, RotatE, TransE, init_embeddings,
+                               relation_features)
 
 
 def line_store(values, relations, kind=TransE("l1")):
@@ -29,19 +30,29 @@ def small_store(dim=2, kind=TransE("l1")):
 # -- state construction -----------------------------------------------------------------
 
 
-def test_build_state_concatenation_order():
+def triple_states(store, relation, triples, mean_heads, mean_tails):
+    """``policy_states`` for the rows of ``triples`` under ``store``."""
+    triples = np.asarray(triples).reshape(-1, 3)
+    rel_feat = relation_features(store.kind, store, np.array([relation]))[0]
+    return policy_states(rel_feat, store.entities[triples[:, 0]],
+                         store.entities[triples[:, 2]], mean_heads, mean_tails)
+
+
+def test_policy_states_concatenation_order():
     store = small_store()
-    state = build_state(store, 0, (0, 0, 1), np.zeros(2), np.zeros(2))
-    assert state.tolist() == [1, 2, 3, 4, 5, 6, 0, 0, 0, 0]
+    states = triple_states(store, 0, [(0, 0, 1), (2, 0, 0)],
+                           np.zeros((2, 2)), np.array([[0.0, 0.0], [9.0, 10.0]]))
+    assert states.tolist() == [[1, 2, 3, 4, 5, 6, 0, 0, 0, 0],
+                               [1, 2, 7, 8, 3, 4, 0, 0, 9, 10]]
 
 
-def test_build_state_width_is_five_blocks():
+def test_policy_states_width_is_five_blocks():
     for kind, dim in [(TransE("l1"), 4), (DistMult(), 4), (RotatE(), 4)]:
         store = init_embeddings(5, 2, dim, kind, seed=0)
-        state = build_state(store, 1, (0, 1, 2),
-                            np.zeros(store.entities.shape[1]),
-                            np.zeros(store.entities.shape[1]))
-        assert len(state) == state_dim_for(store) == 5 * store.entities.shape[1]
+        zeros = np.zeros((3, store.entities.shape[1]))
+        states = triple_states(store, 1, [(0, 1, 2), (3, 1, 4), (4, 1, 0)], zeros, zeros)
+        assert states.shape == (3, state_dim_for(store))
+        assert state_dim_for(store) == 5 * store.entities.shape[1]
 
 
 def test_running_mean_of_one_and_two():
@@ -85,7 +96,7 @@ def test_running_means_match_batch_mean_recompute():
 def test_policy_prob_at_zero_weight():
     store = small_store()
     params = PolicyParams.zeros("strl", 1, 1, state_dim_for(store))
-    state = build_state(store, 0, (0, 0, 1), np.zeros(2), np.zeros(2))
+    state = triple_states(store, 0, (0, 0, 1), np.zeros((1, 2)), np.zeros((1, 2)))[0]
     assert policy_prob(params, None, 0, state) == 0.5
 
 

@@ -3,6 +3,7 @@ import pytest
 
 from kgedenoise import experiments
 from kgedenoise.atomic import atomic_write
+from kgedenoise.errors import DataError
 from kgedenoise.graph import write_flags
 from kgedenoise.models import TransE, init_embeddings, load_store, save_store
 
@@ -14,6 +15,17 @@ def test_atomic_write_replaces_the_file(tmp_path):
         handle.write("new\n")
     assert path.read_text() == "new\n"
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("binary", [False, True])
+def test_unwritable_target_is_a_data_error(tmp_path, binary):
+    # The target's directory is a regular file, so no temporary file can be made.
+    (tmp_path / "file").write_text("")
+    path = tmp_path / "file" / "out.txt"
+    with pytest.raises(DataError, match=f"cannot write {path}: Not a directory"):
+        with atomic_write(path, binary=binary):
+            pass
+    assert [p.name for p in tmp_path.iterdir()] == ["file"]
 
 
 def test_failed_report_write_keeps_old_file_and_no_temp(tmp_path):

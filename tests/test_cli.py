@@ -246,6 +246,57 @@ def test_missing_data_exits_two(tmp_path):
                 "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("command, args", [
+    ("train", ["--data", "{data}", "--mode", "plain", "--out", "{out}"]),
+    ("inject-noise", ["--rate", "0.25", "--in", "{data}", "--out", "{out}"]),
+], ids=["train", "inject-noise"])
+def test_missing_split_file_exits_two(data_dir, tmp_path, capsys, command, args):
+    (data_dir / "valid.txt").unlink()
+    out = tmp_path / "out"
+    code = run([command, *(arg.format(data=data_dir, out=out) for arg in args)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: cannot read {data_dir / 'valid.txt'}: No such file or directory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.fixture
+def plain_checkpoint(tmp_path):
+    ckpt = tmp_path / "plain.ckpt"
+    save_store(ckpt, init_embeddings(8, 2, 4, TransE(), seed=0))
+    return ckpt
+
+
+@pytest.mark.parametrize("command, args", [
+    ("evaluate", ["--graph", "{data}"]),
+    ("cluster", ["--data", "{data}", "--k", "2"]),
+], ids=["evaluate", "cluster"])
+def test_output_into_a_missing_directory_is_created(data_dir, tmp_path, plain_checkpoint,
+                                                    command, args):
+    out = tmp_path / "nodir" / "sub" / "output"
+    code = run([command, "--checkpoint", str(plain_checkpoint),
+                *(arg.format(data=data_dir) for arg in args), "--out", str(out)])
+    assert code == 0 and out.read_text()
+    assert [p.name for p in out.parent.iterdir()] == ["output"]
+
+
+@pytest.mark.parametrize("command, args", [
+    ("evaluate", ["--graph", "{data}"]),
+    ("cluster", ["--data", "{data}", "--k", "2"]),
+], ids=["evaluate", "cluster"])
+@pytest.mark.parametrize("under", ["file", "file/sub"])
+def test_output_under_a_regular_file_exits_two(data_dir, tmp_path, plain_checkpoint, capsys,
+                                               command, args, under):
+    (tmp_path / "file").write_text("")
+    code = run([command, "--checkpoint", str(plain_checkpoint),
+                *(arg.format(data=data_dir) for arg in args),
+                "--out", str(tmp_path / under / "output")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: cannot create directory {tmp_path / under}" in err
+    assert "Traceback" not in err and (tmp_path / "file").read_text() == ""
+
+
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("dim", 0), ("k_negatives", 0), ("clusters_k", 0),
     ("pretrain_epochs", -1), ("episodes", -1), ("agent_warmup_episodes", -1),

@@ -97,7 +97,7 @@ def test_no_empty_clusters_even_with_duplicates():
     matrix = np.array([[1.0], [1.0], [1.0], [5.0]])
     result = kmeans(matrix, 3, seed=11)
     assert set(result.assignment.tolist()) == {0, 1, 2}
-    assert (result.sizes() > 0).all()
+    assert all(result.size(c) > 0 for c in range(3))
 
 
 def test_rejects_bad_k():

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import exhaustive_max_f1, make_graph, random_graph
 from kgedenoise.errors import DataError
-from kgedenoise.evaluation import (f1_score, filtered_rank, link_prediction,
+from kgedenoise.evaluation import (_best_threshold, f1_score, filtered_rank, link_prediction,
                                    max_f1_sweep, noise_detection_f1, triple_classification)
 from kgedenoise.models import (DistMult, EmbeddingStore, RotatE, TransE, init_embeddings,
                                score_batch)
@@ -213,6 +213,23 @@ def test_ranking_matches_brute_force_oracle(kind):
     assert result.mrr >= result.hits[1]
 
 
+def test_per_relation_matches_a_recomputation_from_ranks():
+    rng = np.random.default_rng(8)
+    graph = random_graph(rng, n_entities=15, n_relations=5, n_train=60, n_valid=10,
+                         n_test=25)
+    store = init_embeddings(15, 5, 4, TransE(), seed=2)
+    result = link_prediction(store.kind, store, graph)
+    # oracle: gather each relation's (head, tail) ranks in test order
+    by_relation = {}
+    for i, r in enumerate(graph.test[:, 1].tolist()):
+        by_relation.setdefault(r, []).extend(result.ranks[2 * i:2 * i + 2].tolist())
+    expected = {r: {"mrr": float((1.0 / np.asarray(rs)).mean()),
+                    "hits10": float((np.asarray(rs) <= 10).mean()),
+                    "queries": float(len(rs))}
+                for r, rs in sorted(by_relation.items())}
+    assert list(result.per_relation.items()) == list(expected.items())
+
+
 def test_link_prediction_requires_test_split():
     graph = make_graph([(0, 0, 1)], n_entities=3)
     store = init_embeddings(3, 1, 2, TransE(), seed=0)
@@ -245,6 +262,71 @@ def test_constant_scores_balanced_accuracy_half():
     vl = np.array([1, -1, 1, -1])
     result = triple_classification(store.kind, store, vt, vl, vt, vl)
     assert result.accuracy == 0.5
+
+
+def best_threshold_loop(scores, labels):
+    """``_best_threshold`` as first written: every candidate's accuracy in turn."""
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    candidates = [sorted_scores[0] - 1.0]
+    candidates.extend((sorted_scores[i] + sorted_scores[i + 1]) / 2.0
+                      for i in range(len(sorted_scores) - 1))
+    candidates.append(sorted_scores[-1] + 1.0)
+
+    best_threshold, best_accuracy = None, -1.0
+    for threshold in candidates:
+        accuracy = float(((scores >= threshold) == (labels > 0)).mean())
+        if accuracy > best_accuracy:
+            best_threshold, best_accuracy = float(threshold), accuracy
+    return best_threshold
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_best_threshold_is_bitwise_equal_to_the_loop(data):
+    # Few distinct values make tied scores and tied accuracies; huge and
+    # infinite scores make infinite and NaN candidates.
+    n = data.draw(st.integers(1, 40))
+    values = data.draw(st.sampled_from([
+        st.sampled_from([-1.0, -0.0, 0.0, 0.5, 2.0]),
+        st.floats(-5, 5, allow_nan=False),
+        st.floats(allow_nan=False, allow_infinity=True)]))
+    scores = np.asarray(data.draw(st.lists(values, min_size=n, max_size=n)), dtype=np.float64)
+    labels = np.asarray(data.draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert sweep_bits(_best_threshold(scores, labels)) == \
+            sweep_bits(best_threshold_loop(scores, labels))
+
+
+def test_best_threshold_first_maximum_wins():
+    # The bottom sentinel and the midpoint 1.5 both classify 2 of 3 right;
+    # the lower one is returned.
+    scores = np.array([0.0, 1.0, 2.0])
+    labels = np.array([1, -1, 1])
+    assert _best_threshold(scores, labels) == best_threshold_loop(scores, labels) == -1.0
+
+
+def test_classification_groups_match_per_relation_scans():
+    rng = np.random.default_rng(4)
+    store = init_embeddings(12, 4, 3, DistMult(), seed=1)
+    valid = np.column_stack([rng.integers(12, size=40), rng.integers(3, size=40),
+                             rng.integers(12, size=40)])
+    test = np.column_stack([rng.integers(12, size=30), rng.integers(4, size=30),
+                            rng.integers(12, size=30)])
+    valid_labels, test_labels = rng.choice([-1, 1], size=40), rng.choice([-1, 1], size=30)
+    result = triple_classification(store.kind, store, valid, valid_labels, test, test_labels)
+    # oracle: one scan per relation, as the thresholds were first grouped
+    valid_scores = score_batch(store.kind, store, valid)
+    thresholds = {r: best_threshold_loop(valid_scores[valid[:, 1] == r],
+                                         valid_labels[valid[:, 1] == r])
+                  for r in np.unique(valid[:, 1]).tolist()}
+    assert list(result.thresholds.items()) == list(thresholds.items())
+    global_threshold = best_threshold_loop(valid_scores, valid_labels)
+    per_query = np.array([thresholds.get(r, global_threshold) for r in test[:, 1]])
+    correct = (score_batch(store.kind, store, test) >= per_query) == (test_labels > 0)
+    assert result.per_relation == {r: float(correct[test[:, 1] == r].mean())
+                                   for r in np.unique(test[:, 1]).tolist()}
+    assert 3 in result.per_relation and 3 not in result.thresholds
 
 
 def hand_best_accuracy(scores, labels):

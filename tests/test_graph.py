@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_graph
+from conftest import make_graph, small_graphs
 from kgedenoise.errors import DataError
-from kgedenoise.graph import Triple, load_graph, write_triples
+from kgedenoise.graph import load_graph, write_triples
 
 
 def write_split(path, lines):
@@ -78,11 +78,33 @@ def test_relation_positions_empty_and_total(tiny_graph):
 
 def test_relation_positions_match_linear_scan(tiny_graph):
     # oracle: plain scan over stored rows
-    expected = [Triple(*map(int, row)) for row in tiny_graph.train if row[1] == 1]
+    expected = [tuple(map(int, row)) for row in tiny_graph.train if row[1] == 1]
     positions = tiny_graph.relation_positions(1)
-    got = [Triple(*map(int, row)) for row in tiny_graph.train[positions]]
-    assert got == expected == [Triple(2, 1, 3), Triple(4, 1, 5)]
+    got = [tuple(map(int, row)) for row in tiny_graph.train[positions]]
+    assert got == expected == [(2, 1, 3), (4, 1, 5)]
     assert not tiny_graph.train_labels[positions].any()
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_relation_positions_match_linear_scan_on_random_graphs(graph):
+    for r in range(graph.n_relations):
+        positions = graph.relation_positions(r)
+        assert positions.tolist() == [i for i, row in enumerate(graph.train.tolist())
+                                      if row[1] == r]
+        assert positions.dtype == np.int64
+        with pytest.raises(ValueError):
+            positions[:1] = 0
+    with pytest.raises(DataError):
+        graph.relation_positions(graph.n_relations)
+
+
+def test_relation_positions_on_empty_train_split():
+    graph = make_graph([], valid=[(0, 1, 2)], test=[(2, 0, 1)], n_entities=3, n_relations=2)
+    for r in range(2):
+        positions = graph.relation_positions(r)
+        assert positions.tolist() == [] and positions.dtype == np.int64
+        assert not positions.flags.writeable
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
-from conftest import make_graph
+from conftest import make_graph, small_graphs
 from kgedenoise.errors import DataError
 from kgedenoise.graph import load_flags, write_flags
-from kgedenoise.noise import inject_noise, make_classification_negatives
+from kgedenoise.noise import SlotIndex, inject_noise, make_classification_negatives
 
 
 def legal_corruptions(graph):
@@ -24,6 +25,19 @@ def legal_corruptions(graph):
             if not graph.is_positive(h, r, t2):
                 out.add((h, r, t2))
     return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_graphs())
+def test_slot_index_matches_per_relation_scan(graph):
+    # oracle: the index as first built, one scan of train per relation
+    index = SlotIndex.from_graph(graph)
+    assert len(index.heads) == len(index.tails) == graph.n_relations
+    for r in range(graph.n_relations):
+        rows = graph.train[graph.train[:, 1] == r]
+        np.testing.assert_array_equal(index.heads[r], np.unique(rows[:, 0]))
+        np.testing.assert_array_equal(index.tails[r], np.unique(rows[:, 2]))
+        assert index.heads[r].dtype == index.tails[r].dtype == np.int64
 
 
 def test_rate_zero_is_identity(tiny_graph):

@@ -251,9 +251,8 @@ def test_mtrl_builds_clusters_and_trains():
     assert result.clusters is not None and result.clusters.k == 2
     assert result.params.mode == "mtrl"
     # shared vectors move only for clusters with at least two relations
-    sizes = result.clusters.sizes()
     for c in range(2):
-        if sizes[c] >= 2:
+        if result.clusters.size(c) >= 2:
             continue
         assert np.all(result.params.u[c] == 0.0)
 
