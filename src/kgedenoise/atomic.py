@@ -23,9 +23,10 @@ def atomic_write(path, binary: bool = False):
 
     The temporary file sits in the target's directory, so the rename stays
     within one file system, and is created with ``open(..., "x")``, so it
-    gets the same permissions a plain ``open`` would; if it cannot be
-    created, ``DataError`` is raised. If the block raises, the temporary
-    file is removed and the exception propagates.
+    gets the same permissions a plain ``open`` would. If it cannot be
+    created, or cannot be renamed over ``path`` (say, a directory),
+    ``DataError`` is raised. If the block raises, the temporary file is
+    removed and the exception propagates.
     """
     path = os.fspath(path)
     directory, name = os.path.split(os.path.abspath(path))
@@ -37,7 +38,10 @@ def atomic_write(path, binary: bool = False):
     try:
         with handle:
             yield handle
-        os.replace(temp, path)
+        try:
+            os.replace(temp, path)
+        except OSError as exc:
+            raise DataError(f"cannot write {path}: {exc.strerror}") from None
     except BaseException:
         with contextlib.suppress(FileNotFoundError):
             os.unlink(temp)

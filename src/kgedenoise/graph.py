@@ -111,10 +111,15 @@ class LoadReport:
 
 def relation_groups(relations: np.ndarray, n_relations: int) -> list[np.ndarray]:
     """Ascending, read-only positions of each id r = 0, 1, ... in ``relations``
-    (at least ``n_relations`` entries, some maybe empty): one stable sort, split."""
-    order = np.argsort(relations, kind="stable")
+    (at least ``n_relations`` entries, some maybe empty): one stable sort, split.
+
+    The sort runs on the narrowest unsigned copy of the ids, which numpy
+    radix-sorts up to 16 bits."""
+    counts = np.bincount(relations, minlength=n_relations)
+    key = relations.astype(np.min_scalar_type(max(len(counts) - 1, 0)))
+    order = np.argsort(key, kind="stable")
     order.setflags(write=False)
-    return np.split(order, np.cumsum(np.bincount(relations, minlength=n_relations))[:-1])
+    return np.split(order, np.cumsum(counts)[:-1])
 
 
 def _as_triple_array(rows: Sequence[tuple[int, int, int]]) -> np.ndarray:

@@ -38,18 +38,29 @@ once per call. ``_accumulate`` sums a buffer's rows per touched row with
 and scatters them back in the same chunks. ``score_batch`` scores in the
 same row chunks.
 
+The workspace. The contribution buffers and Adam's gathered rows are
+carved from one flat float64 buffer per thread (``_scratch``), grown on
+demand in blocks of ``_WORKSPACE_BLOCK`` values and reused by every later
+step of that thread, so a large batch's buffers stay mapped rather than
+being mapped, zero-filled and unmapped on every batch. It belongs to the
+thread, not to a store, so two threads can train two stores at once; the
+contribution buffers are spent once ``_accumulate`` has returned, and
+``adam_step`` then carves its buffers from the same memory. Nothing a
+public function returns lives there: gradient values and scores are
+freshly allocated, since they may outlive the next step.
+
 Threads. Every such loop hands its chunks to ``_run_chunks``, which runs
 them on a process-wide pool when there are two or more (the calling
 thread takes chunks too, and ``set_max_threads`` caps the threads) and
-inline otherwise, as at the synthetic preset's sizes. The
-calling thread alone draws every random number (``corrupt_batch``), makes
-every buffer, takes every loss sum, decides the non-finite verdict and
-runs TransE's projection; the functions a tracer may wrap run only there.
-A chunk only writes its own rows or columns of buffers made before it
-runs, and every element goes through the same operations in the same
-order whichever thread runs it. So losses, gradients and stores are
-bitwise equal for any thread count, and to an unchunked, row-major step
-over separate entity and relation matrices.
+inline otherwise, as at the synthetic preset's sizes. The calling thread
+alone draws every random number (``corrupt_batch``), makes every buffer
+(from its own workspace), takes every loss sum, decides the non-finite
+verdict and runs TransE's projection; the functions a tracer may wrap run
+only there. A chunk only writes its own rows or columns of buffers made
+before it runs, and every element goes through the same operations in
+the same order whichever thread runs it. So losses, gradients and stores
+are bitwise equal for any thread count, and to an unchunked, row-major
+step over separate entity and relation matrices.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -74,6 +85,7 @@ import contextvars
 import math
 import os
 import struct
+import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
@@ -360,6 +372,55 @@ def _run_chunks(body, pieces) -> list:
     return results
 
 
+# -- the workspace ---------------------------------------------------------------
+
+# Values per block of a workspace (64 MiB). Allocating a block only reserves
+# address space: a page becomes resident when a buffer first writes it and
+# then stays so, where a buffer allocated per batch above glibc's mmap
+# threshold is mapped, zero-filled and unmapped on every batch.
+_WORKSPACE_BLOCK = 1 << 23
+_MAX_VIEW_SETS = 256  # memoised view sets per workspace; more clears them
+
+
+class _Workspace(threading.local):
+    """One thread's flat float64 buffer and the views carved from it."""
+
+    def __init__(self):
+        self.flat = np.empty(0)
+        self.views = {}
+
+
+_workspace = _Workspace()
+
+
+def _scratch(order: str, *shapes: tuple[int, int]) -> tuple:
+    """Views of the calling thread's workspace, one per ``(rows, cols)`` shape,
+    in ``order`` ("C" or "F") and back to back from its start.
+
+    The views of one call are disjoint, but every call starts at the same
+    place, so a caller must be done with its views before its thread calls
+    again. Nothing a public function returns may live here. The views of
+    given arguments are memoised, since building them costs as much as a
+    small batch's ``np.empty`` calls.
+    """
+    workspace = _workspace
+    views = workspace.views.get((order, shapes))
+    if views is not None:
+        return views
+    total = sum(rows * cols for rows, cols in shapes)
+    if total > len(workspace.flat):
+        workspace.flat = np.empty(-(-total // _WORKSPACE_BLOCK) * _WORKSPACE_BLOCK)
+        workspace.views.clear()
+    elif len(workspace.views) >= _MAX_VIEW_SETS:
+        workspace.views.clear()
+    views, start = [], 0
+    for rows, cols in shapes:
+        views.append(workspace.flat[start:start + rows * cols].reshape((rows, cols), order=order))
+        start += rows * cols
+    workspace.views[order, shapes] = views = tuple(views)
+    return views
+
+
 def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
     """Sum the ``contribs`` rows that share a row id in ``[0, n_rows)``.
 
@@ -403,15 +464,12 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 # Each loss body below works through its triples in row chunks, on the chunk
 # pool. A chunk writes its scores into a batch-wide vector and its gradient
-# rows straight into one column-major contribution buffer; every loss sum is
-# taken once, in the calling thread, over the whole vector, as numpy's
-# pairwise sum depends on its length. Negatives are drawn before any chunk runs.
-# Rows are gathered with ``ndarray.take``, which copies the same values as
-# fancy indexing in about half the time at the synthetic preset's sizes.
-# The chunk bodies are functions so that their temporaries are freed before
-# _accumulate allocates: left alive, they made the heap grow and shrink by
-# their size on every small batch, at the cost of a page fault per 4 kB.
-
+# rows straight into one column-major contribution buffer per table, carved
+# from the workspace; every loss sum is taken once, in the calling thread,
+# over the whole vector, as numpy's pairwise sum depends on its length.
+# Negatives are drawn before any chunk runs. Rows are gathered with
+# ``ndarray.take``, which copies the same values as fancy indexing in about
+# half the time at the synthetic preset's sizes.
 
 
 # -- model kinds -----------------------------------------------------------------
@@ -477,7 +535,7 @@ class TransE(ModelKind):
         # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
         # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
         # reach the sums, which start from +0.0.
-        contrib = np.empty((5 * n, store.dim), order="F")
+        contrib, = _scratch("F", (5 * n, store.dim))
         g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
 
         def chunk(rows):
@@ -523,7 +581,7 @@ class DistMult(ModelKind):
 
         z = np.empty(n)
         # Rows h, t and r of the labeled triples.
-        contrib = np.empty((3 * n, store.dim), order="F")
+        contrib, = _scratch("F", (3 * n, store.dim))
         g_h, g_t, g_r = contrib[:n], contrib[n:2 * n], contrib[2 * n:]
 
         def chunk(rows):
@@ -618,8 +676,7 @@ class RotatE(ModelKind):
         d = store.dim
         n_pos, n_neg = len(positives), len(negatives)
         # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
-        ent_contrib = np.empty((2 * (n_pos + n_neg), 2 * d), order="F")
-        rel_contrib = np.empty((n_pos + n_neg, d), order="F")
+        ent_contrib, rel_contrib = _scratch("F", (2 * (n_pos + n_neg), 2 * d), (n_pos + n_neg, d))
 
         def terms(tr, dldf_of, g_h, g_t, g_r):
             """Scores of a triple block, chained into entity-row and phase gradients."""
@@ -740,10 +797,8 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         rows = grad.rows  # ascending
         if rows[0] < 0 or rows[-1] >= len(params):
             raise IndexError(f"{name} gradient rows lie outside [0, {len(params)})")
-        # Three buffers, not one of three times the size: larger blocks move
-        # glibc's mmap and trim thresholds and make small batches page-fault.
         shape = (len(rows), params.shape[1])
-        m_rows, v_rows, p_rows = np.empty(shape), np.empty(shape), np.empty(shape)
+        m_rows, v_rows, p_rows = _scratch("C", shape, shape, shape)
 
         def update(chunk):
             """(bad gradient, bad parameter) messages of a chunk, or Nones."""

@@ -32,8 +32,21 @@ class SlotIndex:
 
     @classmethod
     def from_graph(cls, graph: KnowledgeGraph) -> "SlotIndex":
-        rows = [graph.train[graph.relation_positions(r)] for r in range(graph.n_relations)]
-        return cls([np.unique(x[:, 0]) for x in rows], [np.unique(x[:, 2]) for x in rows])
+        return cls(_distinct_per_relation(graph, 0), _distinct_per_relation(graph, 2))
+
+
+def _distinct_per_relation(graph: KnowledgeGraph, column: int) -> list[np.ndarray]:
+    """Ascending distinct entities of a train column, per relation id: one
+    sort of ``relation * |E| + entity`` codes, repeats dropped, split."""
+    n_entities = graph.n_entities
+    codes = np.sort(graph.train[:, 1] * n_entities + graph.train[:, column])
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(codes[1:], codes[:-1], out=first[1:])
+    codes = codes[first]
+    bounds = np.searchsorted(codes, np.arange(graph.n_relations + 1) * n_entities).tolist()
+    return [codes[start:stop] - r * n_entities
+            for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
 
 
 def _corrupt_once(triple, slot_index: SlotIndex, rng: np.random.Generator):

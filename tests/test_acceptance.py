@@ -6,7 +6,6 @@ needs on-disk FB15k-237 splits (hours); point KGEDENOISE_FB15K237_DIR at
 a directory with train/valid/test.txt to enable it.
 """
 
-import json
 import os
 import subprocess
 import sys
@@ -21,11 +20,9 @@ from kgedenoise.agent import (PolicyParams, compute_reward, policy_prob, sample_
 from kgedenoise.clustering import RelationClusters
 from kgedenoise.config import TrainConfig
 from kgedenoise.evaluation import link_prediction
-from kgedenoise.graph import KnowledgeGraph
 from kgedenoise.models import (DistMult, EmbeddingStore, RotatE, TransE, init_embeddings,
-                               loss_and_grad, score, score_batch)
+                               loss_and_grad, score)
 from kgedenoise.noise import inject_noise
-from kgedenoise.seeding import seed_for
 from kgedenoise.synth import generate_shift_graph
 from kgedenoise.trainer import joint_train, model_kind
 

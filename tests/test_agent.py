@@ -3,8 +3,8 @@ import struct
 import numpy as np
 import pytest
 
-from conftest import central_difference, make_graph
-from kgedenoise.agent import (PolicyParams, compute_reward, effective_weight, load_policy,
+from conftest import central_difference
+from kgedenoise.agent import (PolicyParams, compute_reward, load_policy,
                               policy_prob, policy_states, regularizer_and_grad,
                               reinforce_update, sample_trajectory, save_policy,
                               state_dim_for, surrogate_and_grad)

@@ -297,6 +297,20 @@ def test_output_under_a_regular_file_exits_two(data_dir, tmp_path, plain_checkpo
     assert "Traceback" not in err and (tmp_path / "file").read_text() == ""
 
 
+def test_output_onto_an_existing_directory_exits_two(data_dir, tmp_path, plain_checkpoint,
+                                                     capsys):
+    out = tmp_path / "out"
+    out.mkdir()
+    code = run(["evaluate", "--checkpoint", str(plain_checkpoint), "--graph", str(data_dir),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: cannot write {out}: Is a directory" in err
+    assert "Traceback" not in err
+    assert not any(p.name.endswith(".tmp") for p in tmp_path.iterdir())
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("key, value", [
     ("batch_size", 0), ("dim", 0), ("k_negatives", 0), ("clusters_k", 0),
     ("pretrain_epochs", -1), ("episodes", -1), ("agent_warmup_episodes", -1),

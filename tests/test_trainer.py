@@ -7,14 +7,13 @@ import pytest
 from conftest import chunk_threads, make_graph, random_graph
 from kgedenoise import experiments, models, trainer
 from kgedenoise.agent import PolicyParams, Trajectory, state_dim_for
-from kgedenoise.clustering import RelationClusters
 from kgedenoise.config import TrainConfig
 from kgedenoise.errors import DataError
 from kgedenoise.graph import KnowledgeGraph, load_flags, write_flags
-from kgedenoise.models import AdamConfig, TransE, init_embeddings, score_batch
+from kgedenoise.models import AdamConfig, TransE, init_embeddings
 from kgedenoise.noise import inject_noise
 from kgedenoise.seeding import seed_for
-from kgedenoise.trainer import (JointResult, RewardBaselines, joint_train, model_kind,
+from kgedenoise.trainer import (RewardBaselines, joint_train, model_kind,
                                 pretrain_agents, pretrain_kge, run_kge_epoch,
                                 write_training_curve, xscore_baseline)
 
