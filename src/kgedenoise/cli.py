@@ -25,8 +25,6 @@ from .models import load_store, relation_features, save_store, score_batch, set_
 from .noise import make_classification_negatives
 from .seeding import seed_for
 
-logger = logging.getLogger(__name__)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); remap to usage error
@@ -48,12 +46,6 @@ def _apply_threads(count: int | None) -> None:
         set_max_threads(count)
     except ValueError as exc:
         raise UsageError(f"--threads: {exc}") from None
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(limits=count)
-    except ImportError:
-        logger.info("threadpoolctl unavailable; --threads recorded but not enforced")
 
 
 def cmd_inject_noise(args) -> int:
@@ -178,8 +170,8 @@ def build_parser() -> _Parser:
                      description="Noise-robust knowledge-graph embedding toolkit")
     parser.add_argument("--threads", type=int, default=None,
                         help="cap the threads that run the training step's and scoring's "
-                             "chunks (default and maximum: the usable CPUs) and BLAS/OpenMP "
-                             "worker threads")
+                             "chunks (default and maximum: the usable CPUs); "
+                             "OPENBLAS_NUM_THREADS and OMP_NUM_THREADS cap BLAS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inject-noise", help="fuse labeled hard negatives into a train split")

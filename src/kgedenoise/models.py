@@ -30,10 +30,10 @@ gradients keyed ``"entities"`` and ``"relations"``.
 
 A training step works in cache-sized pieces. Each loss body goes through
 its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
-scores into a batch-wide vector and gradient rows into a column-major
-contribution buffer per table; RotatE takes the trig of the relation table
-once per call. ``_accumulate`` sums a buffer's rows per touched row with
-``np.bincount`` over column-major cells, in blocks of whole columns, and
+scores into a batch-wide vector and gradient rows straight into their rows
+of a row-major contribution buffer per table; RotatE takes the trig of the
+relation table once per call. ``_accumulate`` sums a buffer's rows per
+touched row in one sorted CSR pass, in ranges of touched rows, and
 ``adam_step`` gathers, updates and checks each table's rows chunk by chunk
 and scatters them back in the same chunks. ``score_batch`` scores in the
 same row chunks.
@@ -56,11 +56,11 @@ inline otherwise, as at the synthetic preset's sizes. The calling thread
 alone draws every random number (``corrupt_batch``), makes every buffer
 (from its own workspace), takes every loss sum, decides the non-finite
 verdict and runs TransE's projection; the functions a tracer may wrap run
-only there. A chunk only writes its own rows or columns of buffers made
-before it runs, and every element goes through the same operations in
-the same order whichever thread runs it. So losses, gradients and stores
-are bitwise equal for any thread count, and to an unchunked, row-major
-step over separate entity and relation matrices.
+only there. A chunk only writes its own rows of buffers made before it
+runs, and every element goes through the same operations in the same
+order whichever thread runs it. So losses, gradients and stores are
+bitwise equal for any thread count, and to an unchunked, row-major step
+over separate entity and relation matrices.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -92,6 +92,7 @@ from dataclasses import dataclass
 from itertools import compress
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
 from scipy.special import expit
 
 from .atomic import atomic_write
@@ -260,11 +261,12 @@ class SparseGrad:
     values: np.ndarray  # (k, width)
 
 
-# Cells summed per np.bincount call in _accumulate: at most _CELL_BLOCK, which
-# caps the flat cell index at 8 MB however many rows and columns a batch's
-# gradient has, and about a quarter of a gradient's cells once that quarter
-# exceeds _MIN_CELL_BLOCK, so an FB-scale gradient's column blocks spread
-# over the chunk pool while a small batch's gradient stays one block.
+# Contribution cells per range of touched rows that _accumulate sums in one
+# piece: at most _CELL_BLOCK (8 MB of contributions), and about a quarter of
+# a gradient's cells once that quarter exceeds _MIN_CELL_BLOCK, so an
+# FB-scale gradient's ranges spread over the chunk pool while a small
+# batch's gradient stays one range. A range holds whole rows, so one row
+# with more contributions makes a larger range.
 _CELL_BLOCK = 1 << 20
 _MIN_CELL_BLOCK = 1 << 17
 # Rows per chunk of the loss bodies and of adam_step. A chunk's temporaries
@@ -393,9 +395,9 @@ class _Workspace(threading.local):
 _workspace = _Workspace()
 
 
-def _scratch(order: str, *shapes: tuple[int, int]) -> tuple:
-    """Views of the calling thread's workspace, one per ``(rows, cols)`` shape,
-    in ``order`` ("C" or "F") and back to back from its start.
+def _scratch(*shapes: tuple[int, int]) -> tuple:
+    """Row-major views of the calling thread's workspace, one per
+    ``(rows, cols)`` shape, back to back from its start.
 
     The views of one call are disjoint, but every call starts at the same
     place, so a caller must be done with its views before its thread calls
@@ -404,7 +406,7 @@ def _scratch(order: str, *shapes: tuple[int, int]) -> tuple:
     small batch's ``np.empty`` calls.
     """
     workspace = _workspace
-    views = workspace.views.get((order, shapes))
+    views = workspace.views.get(shapes)
     if views is not None:
         return views
     total = sum(rows * cols for rows, cols in shapes)
@@ -415,46 +417,48 @@ def _scratch(order: str, *shapes: tuple[int, int]) -> tuple:
         workspace.views.clear()
     views, start = [], 0
     for rows, cols in shapes:
-        views.append(workspace.flat[start:start + rows * cols].reshape((rows, cols), order=order))
+        views.append(workspace.flat[start:start + rows * cols].reshape(rows, cols))
         start += rows * cols
-    workspace.views[order, shapes] = views = tuple(views)
+    workspace.views[shapes] = views = tuple(views)
     return views
 
 
 def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
     """Sum the ``contribs`` rows that share a row id in ``[0, n_rows)``.
 
-    Each distinct row gets a slot from a dense first-touch index, and each
-    (slot, column) cell is summed by ``np.bincount``, which adds a cell's
-    terms in input order starting from 0.0, as ``np.add.at`` into zeros
-    does, so the sums are bitwise equal to it. Cells are numbered column
-    by column (``slot + k * column``) and the weights read in column-major
-    order, so each column's writes stay within a k-sized region; the loss
-    bodies build ``contribs`` column-major, which makes that read a view.
-    Columns are summed in blocks of whole columns, on the chunk pool; a
-    block bounds the index without changing any cell's order of addition.
+    One stable sort of the ids, run on their narrowest unsigned copy (which
+    numpy radix-sorts up to 16 bits), lines up each touched row's
+    contributions in input order. ``csr_matvecs`` multiplies the CSR matrix
+    of ones this makes (one row per touched row) by the row-major
+    ``contribs`` into zeros, so each sum is 0.0 + 1.0*c1 + 1.0*c2 + ... in
+    input order: bitwise what ``np.add.at`` into zeros gives. Ranges of
+    touched rows, sized as the ``_CELL_BLOCK`` comment says, are summed on
+    the chunk pool, each into its own rows of the result.
     """
-    touched = np.zeros(n_rows, dtype=bool)
-    touched[rows] = True
-    unique = np.flatnonzero(touched)
-    slot = np.empty(n_rows, dtype=np.intp)
-    slot[unique] = np.arange(len(unique))
-    inverse = slot[rows]
-    k, width = len(unique), contribs.shape[1]
-    acc = np.empty((k, width))
-    cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, len(rows) * width // 4))
-    block_cols = min(width, max(1, cells // len(rows)))
-    # Every block numbers its cells alike; a narrower last block uses a prefix.
-    block_cells = (np.arange(0, k * block_cols, k)[:, None] + inverse).ravel()
+    n, width = contribs.shape
+    counts = np.bincount(rows, minlength=n_rows)
+    # Else the sort key would wrap an id, or the kernel read past contribs.
+    if len(counts) != n_rows or len(rows) != n:
+        raise ValueError(f"want {n} row ids in [0, {n_rows}), "
+                         f"got {len(rows)} up to {len(counts) - 1}")
+    unique = np.flatnonzero(counts)
+    order = np.argsort(rows.astype(np.min_scalar_type(n_rows - 1)), kind="stable")
+    k = len(unique)
+    indptr = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(counts[unique], out=indptr[1:])
+    acc = np.zeros((k, width))
+    ones = np.ones(n)
+    cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, n * width // 4))
+    # A range starts at each touched row that holds a contribution numbered
+    # a multiple of cells // width: the row whose end lies past it.
+    firsts = np.searchsorted(indptr[1:], np.arange(0, n, max(1, cells // width)), "right")
+    bounds = [*dict.fromkeys(firsts.tolist()), k]
 
-    def block_sum(first):
-        block = contribs[:, first:first + block_cols]
-        cols = block.shape[1]
-        acc[:, first:first + cols] = np.bincount(
-            block_cells[:cols * len(rows)], weights=block.ravel(order="F"),
-            minlength=k * cols).reshape(cols, k).T
+    def range_sum(piece):
+        lo, hi = piece
+        _csr_matvecs(hi - lo, n, width, indptr[lo:hi + 1], order, ones, contribs, acc[lo:hi])
 
-    _run_chunks(block_sum, range(0, width, block_cols))
+    _run_chunks(range_sum, zip(bounds, bounds[1:]))
     return SparseGrad(unique, acc)
 
 
@@ -464,12 +468,12 @@ def _softplus(x: np.ndarray) -> np.ndarray:
 
 # Each loss body below works through its triples in row chunks, on the chunk
 # pool. A chunk writes its scores into a batch-wide vector and its gradient
-# rows straight into one column-major contribution buffer per table, carved
-# from the workspace; every loss sum is taken once, in the calling thread,
-# over the whole vector, as numpy's pairwise sum depends on its length.
-# Negatives are drawn before any chunk runs. Rows are gathered with
-# ``ndarray.take``, which copies the same values as fancy indexing in about
-# half the time at the synthetic preset's sizes.
+# rows straight into their rows of one row-major contribution buffer per
+# table, carved from the workspace; every loss sum is taken once, in the
+# calling thread, over the whole vector, as numpy's pairwise sum depends on
+# its length. Negatives are drawn before any chunk runs. Rows are gathered
+# with ``ndarray.take``, which copies the same values as fancy indexing in
+# about half the time at the synthetic preset's sizes.
 
 
 # -- model kinds -----------------------------------------------------------------
@@ -522,37 +526,40 @@ class TransE(ModelKind):
         ent, rel, n_ent = store.entities, store.relations, store.n_entities
         n, r = len(positives), positives[:, 1]
 
-        def parts(tr, rel_rows):
-            """Distances ||h + r - t|| of a triple chunk and their gradients in h."""
+        def parts(tr, rel_rows, grad):
+            """Distances ||h + r - t|| of a triple chunk; writes their gradients in h
+            into ``grad``."""
             delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
             if self.norm == "l1":
-                return np.abs(delta).sum(axis=1), np.sign(delta)
+                np.sign(delta, out=grad)
+                return np.abs(delta).sum(axis=1)
             norm = np.sqrt((delta * delta).sum(axis=1))
-            safe = np.where(norm > 0.0, norm, 1.0)
-            return norm, np.where(norm[:, None] > 0.0, delta / safe[:, None], 0.0)
+            live = norm > 0.0
+            np.divide(delta, np.where(live, norm, 1.0)[:, None], out=grad)
+            grad[~live] = 0.0
+            return norm
 
         violation = np.empty(n)
         # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
         # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
         # reach the sums, which start from +0.0.
-        contrib, = _scratch("F", (5 * n, store.dim))
+        contrib, = _scratch((5 * n, store.dim))
         g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
 
         def chunk(rows):
             rel_rows = rel.take(r[rows], 0)
-            d_pos, g_pos = parts(positives[rows], rel_rows)
-            d_neg, g_neg = parts(negatives[rows], rel_rows)
+            g_pos, g_neg = g_hp[rows], g_tn[rows]
+            d_pos = parts(positives[rows], rel_rows, g_pos)
+            d_neg = parts(negatives[rows], rel_rows, g_neg)
             # f_neg - f_pos + margin with f = -distance, bit for bit.
             v = np.subtract(d_pos, d_neg, out=violation[rows])
             v += self.margin
             inactive = ~(v > 0.0)
             g_pos[inactive] = 0.0
             g_neg[inactive] = 0.0
-            g_hp[rows] = g_pos
-            g_tn[rows] = g_neg
-            g_r[rows] = g_pos - g_neg
-            g_tp[rows] = np.negative(g_pos, out=g_pos)
-            g_hn[rows] = np.negative(g_neg, out=g_neg)
+            np.subtract(g_pos, g_neg, out=g_r[rows])
+            np.negative(g_pos, out=g_tp[rows])
+            np.negative(g_neg, out=g_hn[rows])
 
         _run_chunks(chunk, _row_chunks(n))
         loss = float(violation[violation > 0.0].sum())
@@ -581,25 +588,23 @@ class DistMult(ModelKind):
 
         z = np.empty(n)
         # Rows h, t and r of the labeled triples.
-        contrib, = _scratch("F", (3 * n, store.dim))
+        contrib, = _scratch((3 * n, store.dim))
         g_h, g_t, g_r = contrib[:n], contrib[n:2 * n], contrib[2 * n:]
 
         def chunk(rows):
-            # (eh er et summed per row) and then dldf (er et), (dldf eh) er and
-            # (dldf eh) et, built in a C-ordered block and copied into the
-            # column-major buffer.
+            # (eh er et summed per row, in the rows of h) and then dldf (er et),
+            # (dldf eh) er and (dldf eh) et.
             eh, er, et = ent.take(h[rows], 0), rel.take(r[rows], 0), ent.take(t[rows], 0)
-            block = eh * er
-            block *= et
+            gh = np.multiply(eh, er, out=g_h[rows])
+            gh *= et
             y_rows = neg_y[rows]
-            z_rows = np.multiply(y_rows, block.sum(axis=1), out=z[rows])
+            z_rows = np.multiply(y_rows, gh.sum(axis=1), out=z[rows])
             dldf = (y_rows * expit(z_rows))[:, None]
-            np.multiply(dldf, er, out=block)
-            block *= et
-            g_h[rows] = block
+            np.multiply(dldf, er, out=gh)
+            gh *= et
             eh *= dldf
-            g_t[rows] = np.multiply(eh, er, out=block)
-            g_r[rows] = np.multiply(eh, et, out=block)
+            np.multiply(eh, er, out=g_t[rows])
+            np.multiply(eh, et, out=g_r[rows])
 
         _run_chunks(chunk, _row_chunks(n))
         loss = float(_softplus(z).sum())
@@ -676,7 +681,7 @@ class RotatE(ModelKind):
         d = store.dim
         n_pos, n_neg = len(positives), len(negatives)
         # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
-        ent_contrib, rel_contrib = _scratch("F", (2 * (n_pos + n_neg), 2 * d), (n_pos + n_neg, d))
+        ent_contrib, rel_contrib = _scratch((2 * (n_pos + n_neg), 2 * d), (n_pos + n_neg, d))
 
         def terms(tr, dldf_of, g_h, g_t, g_r):
             """Scores of a triple block, chained into entity-row and phase gradients."""
@@ -699,23 +704,19 @@ class RotatE(ModelKind):
                 np.copyto(db, -0.0, where=zero)
                 db *= neg_dldf
                 # Rows gr = db (a + t_re) - da (b + t_im), gh = (da cos + db sin,
-                # db cos - da sin) and gt = -(da, db), built in the spent C-ordered
-                # arrays and copied once into the column-major buffers.
-                a += t_re
-                a *= db
+                # db cos - da sin) and gt = -(da, db), with the spent b as scratch.
+                gr = np.add(a, t_re, out=g_r[rows])
+                gr *= db
                 b += t_im
                 b *= da
-                a -= b
-                g_r[rows] = a
-                gh, gt = g_h[rows], g_t[rows]
-                block = np.multiply(db, cos, out=t_re)
-                block -= np.multiply(da, sin, out=b)
-                gh[:, d:] = block
-                np.multiply(da, cos, out=block)
-                block += np.multiply(db, sin, out=b)
-                gh[:, :d] = block
-                gt[:, :d] = np.negative(da, out=da)
-                gt[:, d:] = np.negative(db, out=db)
+                gr -= b
+                gh_re, gh_im = g_h[rows, :d], g_h[rows, d:]
+                np.multiply(db, cos, out=gh_im)
+                gh_im -= np.multiply(da, sin, out=b)
+                np.multiply(da, cos, out=gh_re)
+                gh_re += np.multiply(db, sin, out=b)
+                np.negative(da, out=g_t[rows, :d])
+                np.negative(db, out=g_t[rows, d:])
 
             _run_chunks(chunk, _row_chunks(len(tr)))
             return f
@@ -798,7 +799,7 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         if rows[0] < 0 or rows[-1] >= len(params):
             raise IndexError(f"{name} gradient rows lie outside [0, {len(params)})")
         shape = (len(rows), params.shape[1])
-        m_rows, v_rows, p_rows = _scratch("C", shape, shape, shape)
+        m_rows, v_rows, p_rows = _scratch(shape, shape, shape)
 
         def update(chunk):
             """(bad gradient, bad parameter) messages of a chunk, or Nones."""

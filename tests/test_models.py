@@ -322,15 +322,49 @@ def test_accumulate_bitwise_equals_add_at(data):
     shape = (len(rows), width)
     contribs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
     contribs[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
-    # The loss bodies pass column-major contributions; either order must sum alike.
+    # The loss bodies pass row-major contributions; either order must sum alike.
     contribs = np.asarray(contribs, order=data.draw(st.sampled_from("CF")))
-    # Small cell blocks split the columns into several bincount calls.
+    # Small cell blocks split the touched rows into several ranges.
     cell_block = data.draw(st.sampled_from([1, 7, 64, models._CELL_BLOCK]))
     with mock.patch.object(models, "_CELL_BLOCK", cell_block):
         grad = models._accumulate(rows, contribs, n_rows)
     unique, expected = add_at_reference(rows, contribs)
     assert np.array_equal(grad.rows, unique)
     assert np.array_equal(grad.values.view(np.uint64), expected.view(np.uint64))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_accumulate_bitwise_equals_add_at_across_sort_key_widths(data):
+    # The ids are sorted as uint8 below 257 rows, uint16 below 65,537 and
+    # uint32 above: draw n_rows on both sides of each boundary, and ids near
+    # the top, so a key too narrow for them would misorder the sums.
+    n_rows = data.draw(st.sampled_from([256, 65_536])) + data.draw(st.integers(-2, 2))
+    pool = data.draw(st.lists(st.integers(0, n_rows - 1) | st.integers(n_rows - 3, n_rows - 1),
+                              min_size=1, max_size=8))
+    # Heavily repeated and unsorted.
+    rows = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=1, max_size=80)))
+    width = data.draw(st.integers(1, 40))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (len(rows), width)
+    contribs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    contribs[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    contribs = np.asarray(contribs, order=data.draw(st.sampled_from("CF")))
+    cell_block = data.draw(st.sampled_from([1, 7, 64]))
+    with mock.patch.object(models, "_CELL_BLOCK", cell_block):
+        grad = models._accumulate(rows, contribs, n_rows)
+    unique, expected = add_at_reference(rows, contribs)
+    assert np.array_equal(grad.rows, unique)
+    assert np.array_equal(grad.values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_accumulate_refuses_ids_it_cannot_sum():
+    # An id past n_rows would wrap in the narrow sort key, and more ids than
+    # contribution rows would make the kernel read past the buffer.
+    with pytest.raises(ValueError):
+        models._accumulate(np.array([0, 256]), np.ones((2, 3)), 256)
+    with pytest.raises(ValueError):
+        models._accumulate(np.array([0, 1, 2]), np.ones((2, 3)), 5)
 
 
 def test_accumulate_single_row():
@@ -410,8 +444,8 @@ def test_shared_table_batch_makes_one_accumulate_and_one_adam_pass(kind):
                          ids=["transe-l1", "transe-l2", "distmult", "rotate"])
 @pytest.mark.parametrize("threads", [2, 3])
 def test_thread_count_does_not_change_any_bit(kind, threads):
-    # Chunks of 7 rows and column blocks of a few columns make every loop of
-    # the step run many pieces on the pool.
+    # Chunks of 7 rows and gradient-sum ranges of a few rows make every loop
+    # of the step run many pieces on the pool.
     with mock.patch.object(models, "_CELL_BLOCK", 64), \
             mock.patch.object(models, "_MIN_CELL_BLOCK", 8):
         with chunk_threads(1):
@@ -570,7 +604,7 @@ def test_warm_rotate_step_allocates_well_below_its_contribution_buffers():
     # 512 positives with 10 negatives each at d=64: the entity and phase
     # contribution buffers take 14.4 MB, which a warm step reuses. A step
     # that allocated them afresh peaked at 19 MB here, and one that reuses
-    # them at about 5 MB, mostly _accumulate's cell index and sums.
+    # them at about 3 MB.
     kind = RotatE(margin=2.0, negatives=10)
     graph = random_graph(np.random.default_rng(10), n_entities=1000, n_relations=20,
                          n_train=1024, n_valid=2, n_test=2)

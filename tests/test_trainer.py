@@ -408,8 +408,8 @@ def test_pretrain_store_matches_golden_digests(model, norm):
 @GOLDEN_CASES
 @pytest.mark.parametrize("threads", [1, 2, 3])
 def test_golden_digests_hold_for_any_thread_count(model, norm, threads):
-    # Chunks of 7 rows and column blocks of at most 64 cells split every loop
-    # of the step into many pieces.
+    # Chunks of 7 rows and gradient-sum ranges of about 64 cells split every
+    # loop of the step into many pieces.
     with mock.patch.object(models, "_ROW_BLOCK", 7), mock.patch.object(models, "_CELL_BLOCK", 64), \
             mock.patch.object(models, "_MIN_CELL_BLOCK", 8), chunk_threads(threads):
         digests = golden_store_digests(model, norm)
