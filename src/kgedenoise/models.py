@@ -33,19 +33,21 @@ its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
 scores into a batch-wide vector and gradient rows straight into their rows
 of a row-major contribution buffer per table; RotatE takes the trig of the
 relation table once per call. ``_accumulate`` sums a buffer's rows per
-touched row in one sorted CSR pass, in ranges of touched rows, and
-``adam_step`` gathers, updates and checks each table's rows chunk by chunk
-and scatters them back in the same chunks. ``score_batch`` scores in the
-same row chunks.
+touched row in one sorted CSR pass, in ranges of touched rows that each
+zero-fill their own rows of the sums; DistMult's L2 term gathers and
+squares the touched rows in row chunks; ``adam_step`` gathers, updates
+and checks each table's rows chunk by chunk and scatters them back in the
+same chunks. ``score_batch`` scores in the same row chunks.
 
-The workspace. The contribution buffers and Adam's gathered rows are
-carved from one flat float64 buffer per thread (``_scratch``), grown on
-demand in blocks of ``_WORKSPACE_BLOCK`` values and reused by every later
-step of that thread, so a large batch's buffers stay mapped rather than
-being mapped, zero-filled and unmapped on every batch. It belongs to the
-thread, not to a store, so two threads can train two stores at once; the
-contribution buffers are spent once ``_accumulate`` has returned, and
-``adam_step`` then carves its buffers from the same memory. Nothing a
+The workspace. The contribution buffers, DistMult's gathered L2 rows and
+their squares, and Adam's gathered rows are carved from one flat float64
+buffer per thread (``_scratch``), grown on demand in blocks of
+``_WORKSPACE_BLOCK`` values and reused by every later step of that
+thread, so a large batch's buffers stay mapped rather than being mapped,
+zero-filled and unmapped on every batch. It belongs to the thread, not to
+a store, so two threads can train two stores at once; the contribution
+buffers are spent once ``_accumulate`` has returned, and the L2 term and
+then ``adam_step`` carve their buffers from the same memory. Nothing a
 public function returns lives there: gradient values and scores are
 freshly allocated, since they may outlive the next step.
 
@@ -54,13 +56,15 @@ them on a process-wide pool when there are two or more (the calling
 thread takes chunks too, and ``set_max_threads`` caps the threads) and
 inline otherwise, as at the synthetic preset's sizes. The calling thread
 alone draws every random number (``corrupt_batch``), makes every buffer
-(from its own workspace), takes every loss sum, decides the non-finite
-verdict and runs TransE's projection; the functions a tracer may wrap run
-only there. A chunk only writes its own rows of buffers made before it
-runs, and every element goes through the same operations in the same
-order whichever thread runs it. So losses, gradients and stores are
-bitwise equal for any thread count, and to an unchunked, row-major step
-over separate entity and relation matrices.
+(from its own workspace), takes every loss sum (DistMult's L2 sums over
+the squares its chunks wrote), decides the non-finite verdict and runs
+TransE's projection; the functions a tracer may wrap run only there. The
+gradient sums' zero fill and the L2 gather run in chunks. A chunk only
+writes its own rows of buffers made before it runs, and every element
+goes through the same operations in the same order whichever thread runs
+it. So losses, gradients and stores are bitwise equal for any thread
+count, and to an unchunked, row-major step over separate entity and
+relation matrices.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -433,7 +437,8 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     ``contribs`` into zeros, so each sum is 0.0 + 1.0*c1 + 1.0*c2 + ... in
     input order: bitwise what ``np.add.at`` into zeros gives. Ranges of
     touched rows, sized as the ``_CELL_BLOCK`` comment says, are summed on
-    the chunk pool, each into its own rows of the result.
+    the chunk pool, each into its own rows of the freshly allocated result,
+    which it zero-fills just before the kernel adds into them.
     """
     n, width = contribs.shape
     counts = np.bincount(rows, minlength=n_rows)
@@ -444,9 +449,10 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
     unique = np.flatnonzero(counts)
     order = np.argsort(rows.astype(np.min_scalar_type(n_rows - 1)), kind="stable")
     k = len(unique)
-    indptr = np.zeros(k + 1, dtype=np.intp)
+    indptr = np.empty(k + 1, dtype=np.intp)
+    indptr[0] = 0
     np.cumsum(counts[unique], out=indptr[1:])
-    acc = np.zeros((k, width))
+    acc = np.empty((k, width))
     ones = np.ones(n)
     cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, n * width // 4))
     # A range starts at each touched row that holds a contribution numbered
@@ -456,7 +462,9 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
 
     def range_sum(piece):
         lo, hi = piece
-        _csr_matvecs(hi - lo, n, width, indptr[lo:hi + 1], order, ones, contribs, acc[lo:hi])
+        out = acc[lo:hi]
+        out.fill(0.0)
+        _csr_matvecs(hi - lo, n, width, indptr[lo:hi + 1], order, ones, contribs, out)
 
     _run_chunks(range_sum, zip(bounds, bounds[1:]))
     return SparseGrad(unique, acc)
@@ -610,13 +618,30 @@ class DistMult(ModelKind):
         loss = float(_softplus(z).sum())
         n_ent = store.n_entities
         grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
-
-        # L2 term over the distinct touched rows; entity and relation rows summed apart.
-        touched = store.tables[0][1][grad.rows]
-        split = np.searchsorted(grad.rows, n_ent)
-        loss += self.l2_coeff * float((touched[:split] ** 2).sum() + (touched[split:] ** 2).sum())
-        grad.values += 2.0 * self.l2_coeff * touched
+        loss += self._l2_term(store, grad)
         return loss, {"entities": grad}
+
+    def _l2_term(self, store, grad):
+        """L2 loss over the distinct touched rows; adds its gradient 2 l2 p to ``grad``.
+
+        The rows are gathered and squared in row chunks, into workspace
+        buffers: the contribution buffers are spent once ``_accumulate`` has
+        returned. Entity and relation rows are summed apart, each in one
+        pairwise sum over all of its rows.
+        """
+        params, rows, values = store.tables[0][1], grad.rows, grad.values
+        touched, squares = _scratch(values.shape, values.shape)
+        scale = 2.0 * self.l2_coeff
+
+        def chunk(part):
+            p = params.take(rows[part], 0, touched[part], "clip")
+            np.square(p, out=squares[part])
+            p *= scale
+            values[part] += p
+
+        _run_chunks(chunk, _row_chunks(len(rows)))
+        split = np.searchsorted(rows, store.n_entities)
+        return self.l2_coeff * float(squares[:split].sum() + squares[split:].sum())
 
 
 def _rotate_trig(store: EmbeddingStore):
@@ -786,8 +811,29 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
     (TransE's unit-norm projection), never a shared table's relation rows.
     A non-finite gradient or updated parameter raises ``NumericError``
     before anything of that table is stored; the first bad gradient row
-    is reported before any bad parameter.
+    is reported before any bad parameter. The gradient is scanned only in
+    a chunk whose updated parameters are not all finite, which an inf or
+    nan gradient entry always makes so. A gradient whose rows are not 1-D,
+    strictly ascending ids of its table, or whose values are not of shape
+    (rows, table width), raises ``ValueError`` before the step count
+    advances.
     """
+    for name, params, _, _ in store.tables:
+        grad = grads.get(name)
+        if grad is None:
+            continue
+        # Else the "clip" gather would read the nearest row for an id out of
+        # range, the scatter keep only the last update of a repeated id, and
+        # values broadcast across the columns. count_nonzero costs about a
+        # third of .all() at the synthetic preset's sizes.
+        rows = grad.rows
+        if rows.ndim != 1 or len(rows) and (
+                rows[0] < 0 or rows[-1] >= len(params) or np.count_nonzero(rows[1:] <= rows[:-1])):
+            raise ValueError(f"{name} gradient rows must be strictly ascending ids "
+                             f"in [0, {len(params)})")
+        if grad.values.shape != (len(rows), params.shape[1]):
+            raise ValueError(f"{name} gradient values have shape {grad.values.shape}, "
+                             f"want {(len(rows), params.shape[1])}")
     store.step += 1
     bias1 = 1.0 - config.beta1 ** store.step
     bias2 = 1.0 - config.beta2 ** store.step
@@ -795,18 +841,13 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
         grad = grads.get(name)
         if grad is None or len(grad.rows) == 0:
             continue
-        rows = grad.rows  # ascending
-        if rows[0] < 0 or rows[-1] >= len(params):
-            raise IndexError(f"{name} gradient rows lie outside [0, {len(params)})")
+        rows = grad.rows
         shape = (len(rows), params.shape[1])
         m_rows, v_rows, p_rows = _scratch(shape, shape, shape)
 
         def update(chunk):
             """(bad gradient, bad parameter) messages of a chunk, or Nones."""
             ids, g = rows[chunk], grad.values[chunk]
-            bad = _non_finite_row(store, name, ids, g)
-            if bad is not None:
-                return f"non-finite gradient for {bad}", None
             # The rows are checked in range above; "clip" lets take write
             # straight into the buffer, where "raise" would copy through a
             # temporary allocated in this thread. (Positional arguments: at
@@ -830,6 +871,14 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
             denom += config.epsilon
             delta /= denom
             p_chunk -= delta
+            # An inf or nan gradient entry makes its parameter nan (inf/inf in
+            # the update, or nan throughout), so finite parameters prove the
+            # gradient finite, and only a non-finite sum needs the scans.
+            if math.isfinite(p_chunk.sum()):
+                return None, None
+            bad = _non_finite_row(store, name, ids, g)
+            if bad is not None:
+                return f"non-finite gradient for {bad}", None
             bad = _non_finite_row(store, name, ids, p_chunk)
             return None, bad and f"non-finite parameter after update: {bad}"
 

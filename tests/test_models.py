@@ -623,6 +623,65 @@ def test_warm_rotate_step_allocates_well_below_its_contribution_buffers():
     assert peak <= contrib_bytes / 2
 
 
+class ReferenceL2DistMult(DistMult):
+    """DistMult with the L2 term as one fancy-index gather of the touched
+    rows and whole-array temporaries: the reference for the chunked term."""
+
+    def _l2_term(self, store, grad):
+        touched = store.tables[0][1][grad.rows]
+        split = np.searchsorted(grad.rows, store.n_entities)
+        grad.values += 2.0 * self.l2_coeff * touched
+        return self.l2_coeff * float((touched[:split] ** 2).sum() + (touched[split:] ** 2).sum())
+
+
+def warm_step_peak(kind, store, graph, rng):
+    """Peak traced bytes of a loss_and_grad + adam_step round, after one
+    untraced round warms the workspace; also the touched rows' shape."""
+    _, grads = loss_and_grad(kind, store, graph, graph.train[:512], rng)
+    adam_step(store, grads, AdamConfig())
+    tracemalloc.start()
+    try:
+        _, grads = loss_and_grad(kind, store, graph, graph.train[512:], rng)
+        adam_step(store, grads, AdamConfig())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, grads["entities"].values.shape
+
+
+def test_warm_distmult_l2_term_allocates_no_touched_row_arrays():
+    # 512 positives with 10 negatives each at d=64 over 3,000 entities touch
+    # a few thousand rows. The reference term allocates the gathered rows
+    # and a product of their size at once; the chunked term carves both from
+    # the warm workspace.
+    graph = random_graph(np.random.default_rng(10), n_entities=3000, n_relations=20,
+                         n_train=1024, n_valid=2, n_test=2)
+    peaks = []
+    for kind in (DistMult(l2_coeff=1e-3), ReferenceL2DistMult(l2_coeff=1e-3)):
+        store = init_embeddings(3000, 20, 64, kind, seed=3)
+        peaks.append(warm_step_peak(kind, store, graph, np.random.default_rng(4)))
+    (peak, (k, d)), (reference_peak, shape) = peaks
+    assert shape == (k, d)
+    assert peak <= reference_peak - 8 * k * d
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_chunked_distmult_l2_term_is_bitwise_the_reference(threads):
+    graph = random_graph(np.random.default_rng(11), n_entities=40, n_relations=5,
+                         n_train=30, n_valid=2, n_test=2)
+    runs = []
+    for kind in (DistMult(l2_coeff=1e3, negatives=3),
+                 ReferenceL2DistMult(l2_coeff=1e3, negatives=3)):
+        store = init_embeddings(40, 5, 16, kind, seed=2)
+        with mock.patch.object(models, "_ROW_BLOCK", 7), chunk_threads(threads):
+            runs.append(loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(8)))
+    (loss, grads), (expected_loss, expected_grads) = runs
+    assert len(grads["entities"].rows) > 7  # several L2 chunks
+    assert bits(loss).tolist() == bits(expected_loss).tolist()
+    assert np.array_equal(grads["entities"].rows, expected_grads["entities"].rows)
+    assert np.array_equal(bits(grads["entities"].values), bits(expected_grads["entities"].values))
+
+
 def test_rotate_trig_is_taken_once_per_call():
     # The relation table's trig is taken once per loss call, however many
     # chunks gather rows from it.
@@ -954,6 +1013,131 @@ def test_adam_reports_first_bad_gradient_row_across_chunks(row_block, threads):
                   AdamConfig(learning_rate=1e300))
     assert store.step == 1 and not store.m_ent.any() and not store.v_ent.any()
     assert store.entities[2, 0] == 1.5e308
+
+
+def assert_same_store_bits(store, expected):
+    assert store.step == expected.step
+    for (_, *matrices), (_, *expected_matrices) in zip(store.tables, expected.tables):
+        for matrix, expected_matrix in zip(matrices, expected_matrices):
+            assert np.array_equal(bits(matrix), bits(expected_matrix))
+
+
+def eager_check_adam_step(store, grads, config):
+    """``adam_step`` with the gradient scan before each chunk's update: the
+    oracle for the scan that runs only after a non-finite update.
+
+    Per table and row chunk: the first non-finite gradient row skips the
+    chunk's update, else the first non-finite parameter row after it is
+    noted. The first gradient message of any chunk, else the first parameter
+    message, is raised before the table is stored.
+    """
+    store.step += 1
+    bias1 = 1.0 - config.beta1 ** store.step
+    bias2 = 1.0 - config.beta2 ** store.step
+    for name, params, m, v in store.tables:
+        grad = grads.get(name)
+        if grad is None or len(grad.rows) == 0:
+            continue
+        grad_bad, param_bad, updates = [], [], []
+        for chunk in models._row_chunks(len(grad.rows)):
+            ids, g = grad.rows[chunk], grad.values[chunk]
+            bad = models._non_finite_row(store, name, ids, g)
+            if bad is not None:
+                grad_bad.append(f"non-finite gradient for {bad}")
+                continue
+            m_chunk, v_chunk, p_chunk = m[ids], v[ids], params[ids]
+            m_chunk *= config.beta1
+            m_chunk += (1.0 - config.beta1) * g
+            v_chunk *= config.beta2
+            g_sq = g * g
+            g_sq *= 1.0 - config.beta2
+            v_chunk += g_sq
+            delta = m_chunk / bias1
+            delta *= config.learning_rate
+            denom = v_chunk / bias2
+            np.sqrt(denom, out=denom)
+            denom += config.epsilon
+            delta /= denom
+            p_chunk -= delta
+            bad = models._non_finite_row(store, name, ids, p_chunk)
+            if bad is not None:
+                param_bad.append(f"non-finite parameter after update: {bad}")
+            updates.append((ids, m_chunk, v_chunk, p_chunk))
+        if grad_bad or param_bad:
+            raise NumericError((grad_bad + param_bad)[0])
+        for ids, m_chunk, v_chunk, p_chunk in updates:
+            m[ids], v[ids], params[ids] = m_chunk, v_chunk, p_chunk
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_late_gradient_scan_matches_the_eager_check(data):
+    kind = data.draw(st.sampled_from([DistMult(), RotatE()]))
+    store = init_embeddings(12, 3, 2, kind, seed=data.draw(st.integers(0, 99)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    store.step = data.draw(st.integers(0, 3))
+    grads = {}
+    for name, params, m, v in store.tables:
+        m[...] = rng.standard_normal(m.shape)
+        v[...] = rng.random(v.shape)
+        # Moments whose v has already overflowed to inf.
+        v[rng.random(len(v)) < data.draw(st.sampled_from([0.0, 0.3]))] = np.inf
+        rows = np.flatnonzero(rng.random(len(params)) < 0.7)
+        values = rng.standard_normal((len(rows), params.shape[1]))
+        for special in (np.inf, -np.inf, np.nan, 1e308):
+            hit = rng.random(values.shape) < data.draw(st.sampled_from([0.0, 0.02, 0.2]))
+            values[hit] = special
+        grads[name] = SparseGrad(rows, values)
+    config = AdamConfig(learning_rate=data.draw(st.sampled_from([1e-3, 1e300])))
+    row_block = data.draw(st.sampled_from([1, 7, 1000]))
+    threads = data.draw(st.sampled_from([1, 2]))
+    expected = store.copy()
+    outcomes = []
+    with mock.patch.object(models, "_ROW_BLOCK", row_block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        for target, step in ((expected, eager_check_adam_step), (store, adam_step)):
+            try:
+                with chunk_threads(threads):
+                    step(target, grads, config)
+                outcomes.append(None)
+            except NumericError as exc:
+                outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+    assert_same_store_bits(store, expected)
+
+
+@pytest.mark.parametrize("rows, values", [
+    ([0, -1, 3], np.ones((3, 3))),      # a negative id, which "clip" reads as row 0
+    ([0, 7], np.ones((2, 3))),          # past the 7-row shared table
+    ([3, 1], np.ones((2, 3))),          # descending
+    ([2, 2], np.ones((2, 3))),          # repeated: the scatter keeps one update
+    ([[1, 2]], np.ones((2, 3))),        # not 1-D
+    ([1, 2], np.ones((2, 1))),          # would broadcast across the columns
+    ([1, 2], np.ones((3, 3))),          # more value rows than ids
+    ([1, 2], np.ones(6)),
+], ids=["negative", "past-end", "descending", "repeated", "2d-rows", "one-column",
+        "extra-rows", "flat-values"])
+def test_adam_refuses_malformed_gradients(rows, values):
+    store = init_embeddings(4, 3, 3, TransE(), seed=0)
+    store.step = 5
+    expected = store.copy()
+    grads = {"entities": SparseGrad(np.array(rows), values)}
+    with pytest.raises(ValueError, match="entities gradient"):
+        adam_step(store, grads, AdamConfig())
+    assert store.step == 5
+    assert_same_store_bits(store, expected)
+
+
+def test_adam_refuses_a_malformed_table_before_updating_any():
+    # RotatE's relation gradient is malformed: its valid entity gradient,
+    # updated first, is not stored either.
+    store = init_embeddings(4, 3, 2, RotatE(), seed=0)
+    expected = store.copy()
+    grads = {"entities": SparseGrad(np.array([0, 2]), np.ones((2, 4))),
+             "relations": SparseGrad(np.array([1, 1]), np.ones((2, 2)))}
+    with pytest.raises(ValueError, match="relations gradient rows"):
+        adam_step(store, grads, AdamConfig())
+    assert_same_store_bits(store, expected)
 
 
 def test_training_step_deterministic(tiny_graph):
