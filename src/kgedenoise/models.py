@@ -837,63 +837,66 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
     store.step += 1
     bias1 = 1.0 - config.beta1 ** store.step
     bias2 = 1.0 - config.beta2 ** store.step
-    for name, params, m, v in store.tables:
-        grad = grads.get(name)
-        if grad is None or len(grad.rows) == 0:
-            continue
-        rows = grad.rows
-        shape = (len(rows), params.shape[1])
-        m_rows, v_rows, p_rows = _scratch(shape, shape, shape)
+    # An inf gradient entry makes inf / inf, which the scan reports as a
+    # NumericError, not a warning. Pool threads run in a copy of this context.
+    with np.errstate(invalid="ignore"):
+        for name, params, m, v in store.tables:
+            grad = grads.get(name)
+            if grad is None or len(grad.rows) == 0:
+                continue
+            rows = grad.rows
+            shape = (len(rows), params.shape[1])
+            m_rows, v_rows, p_rows = _scratch(shape, shape, shape)
 
-        def update(chunk):
-            """(bad gradient, bad parameter) messages of a chunk, or Nones."""
-            ids, g = rows[chunk], grad.values[chunk]
-            # The rows are checked in range above; "clip" lets take write
-            # straight into the buffer, where "raise" would copy through a
-            # temporary allocated in this thread. (Positional arguments: at
-            # the synthetic preset's sizes, parsing keywords costs as much.)
-            m_chunk = m.take(ids, 0, m_rows[chunk], "clip")
-            v_chunk = v.take(ids, 0, v_rows[chunk], "clip")
-            p_chunk = params.take(ids, 0, p_rows[chunk], "clip")
-            # In place, but each element sees the same operations in the same
-            # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
-            # p -= lr * m_hat / (sqrt(v_hat) + eps).
-            m_chunk *= config.beta1
-            m_chunk += (1.0 - config.beta1) * g
-            v_chunk *= config.beta2
-            g_sq = g * g
-            g_sq *= 1.0 - config.beta2
-            v_chunk += g_sq
-            delta = m_chunk / bias1
-            delta *= config.learning_rate
-            denom = v_chunk / bias2
-            np.sqrt(denom, out=denom)
-            denom += config.epsilon
-            delta /= denom
-            p_chunk -= delta
-            # An inf or nan gradient entry makes its parameter nan (inf/inf in
-            # the update, or nan throughout), so finite parameters prove the
-            # gradient finite, and only a non-finite sum needs the scans.
-            if math.isfinite(p_chunk.sum()):
-                return None, None
-            bad = _non_finite_row(store, name, ids, g)
-            if bad is not None:
-                return f"non-finite gradient for {bad}", None
-            bad = _non_finite_row(store, name, ids, p_chunk)
-            return None, bad and f"non-finite parameter after update: {bad}"
+            def update(chunk):
+                """(bad gradient, bad parameter) messages of a chunk, or Nones."""
+                ids, g = rows[chunk], grad.values[chunk]
+                # The rows are checked in range above; "clip" lets take write
+                # straight into the buffer, where "raise" would copy through a
+                # temporary allocated in this thread. (Positional arguments: at
+                # the synthetic preset's sizes, parsing keywords costs as much.)
+                m_chunk = m.take(ids, 0, m_rows[chunk], "clip")
+                v_chunk = v.take(ids, 0, v_rows[chunk], "clip")
+                p_chunk = params.take(ids, 0, p_rows[chunk], "clip")
+                # In place, but each element sees the same operations in the same
+                # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
+                # p -= lr * m_hat / (sqrt(v_hat) + eps).
+                m_chunk *= config.beta1
+                m_chunk += (1.0 - config.beta1) * g
+                v_chunk *= config.beta2
+                g_sq = g * g
+                g_sq *= 1.0 - config.beta2
+                v_chunk += g_sq
+                delta = m_chunk / bias1
+                delta *= config.learning_rate
+                denom = v_chunk / bias2
+                np.sqrt(denom, out=denom)
+                denom += config.epsilon
+                delta /= denom
+                p_chunk -= delta
+                # An inf or nan gradient entry makes its parameter nan (inf/inf in
+                # the update, or nan throughout), so finite parameters prove the
+                # gradient finite, and only a non-finite sum needs the scans.
+                if math.isfinite(p_chunk.sum()):
+                    return None, None
+                bad = _non_finite_row(store, name, ids, g)
+                if bad is not None:
+                    return f"non-finite gradient for {bad}", None
+                bad = _non_finite_row(store, name, ids, p_chunk)
+                return None, bad and f"non-finite parameter after update: {bad}"
 
-        def scatter(chunk):
-            ids = rows[chunk]
-            m[ids], v[ids], params[ids] = m_rows[chunk], v_rows[chunk], p_rows[chunk]
+            def scatter(chunk):
+                ids = rows[chunk]
+                m[ids], v[ids], params[ids] = m_rows[chunk], v_rows[chunk], p_rows[chunk]
 
-        chunks = list(_row_chunks(len(rows)))
-        grad_bad, param_bad = zip(*_run_chunks(update, chunks))
-        message = next(filter(None, grad_bad + param_bad), None)
-        if message is not None:
-            raise NumericError(message)
-        if project_entities is not None and name == "entities":
-            project_entities(p_rows[:np.searchsorted(rows, store.n_entities)])
-        _run_chunks(scatter, chunks)
+            chunks = list(_row_chunks(len(rows)))
+            grad_bad, param_bad = zip(*_run_chunks(update, chunks))
+            message = next(filter(None, grad_bad + param_bad), None)
+            if message is not None:
+                raise NumericError(message)
+            if project_entities is not None and name == "entities":
+                project_entities(p_rows[:np.searchsorted(rows, store.n_entities)])
+            _run_chunks(scatter, chunks)
 
 
 # -- checkpoint IO ----------------------------------------------------------------

@@ -6,6 +6,10 @@ the same relation elsewhere in the training split, which yields
 type-plausible "hard" noise. Generated triples never collide with any
 known positive nor with each other; ground-truth flags go into the
 graph's side label array, which the training path never reads.
+
+Each attempt draws one call at a time: the source row (injection only),
+the coin, and the pool index if that pool is not empty. Whether an attempt
+happens depends on the earlier ones, so the loops stay loops, on plain ints.
 """
 
 from __future__ import annotations
@@ -49,17 +53,17 @@ def _distinct_per_relation(graph: KnowledgeGraph, column: int) -> list[np.ndarra
             for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
 
 
-def _corrupt_once(triple, slot_index: SlotIndex, rng: np.random.Generator):
-    """One slot-constrained corruption attempt; None if no candidates."""
-    h, r, t = triple
-    replace_head = rng.random() < 0.5
-    pool = slot_index.heads[r] if replace_head else slot_index.tails[r]
-    if len(pool) == 0:
-        return None
-    candidate = int(pool[rng.integers(len(pool))])
-    if replace_head:
-        return (candidate, r, t)
-    return (h, r, candidate)
+def _corrupt_once(h: int, r: int, t: int, slot_index: SlotIndex, rng: np.random.Generator):
+    """One slot-constrained corruption attempt on plain ints: the triple with
+    its head or tail (fair coin) replaced from the relation's pool of that
+    slot, or None for an empty pool, for which only the coin is drawn.
+    ``integers(0, n)`` is the same draw as ``integers(n)`` and parses
+    faster (1.7 against 2.4 us a call)."""
+    if rng.random() < 0.5:
+        pool = slot_index.heads[r]
+        return (pool.item(rng.integers(0, len(pool))), r, t) if len(pool) else None
+    pool = slot_index.tails[r]
+    return (h, r, pool.item(rng.integers(0, len(pool)))) if len(pool) else None
 
 
 def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGraph:
@@ -80,27 +84,26 @@ def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGrap
     train = graph.train
     target = int(rate * len(train))
     slot_index = SlotIndex.from_graph(graph)
+    n_relations, n_entities = graph.n_relations, graph.n_entities
 
     taken = set(graph.positive_index)
     injected: list[tuple[int, int, int]] = []
     skipped = 0
     for _ in range(target):
-        produced = None
         for _ in range(_MAX_ATTEMPTS):
-            source = train[rng.integers(len(train))]
-            candidate = _corrupt_once(source, slot_index, rng)
+            source = rng.integers(0, len(train))
+            candidate = _corrupt_once(train.item(source, 0), train.item(source, 1),
+                                      train.item(source, 2), slot_index, rng)
             if candidate is None:
                 continue
-            code = graph.encode(*candidate)
-            if code in taken:
-                continue
-            produced = candidate
-            taken.add(code)
-            break
-        if produced is None:
-            skipped += 1
+            h, r, t = candidate
+            code = (h * n_relations + r) * n_entities + t
+            if code not in taken:
+                taken.add(code)
+                injected.append(candidate)
+                break
         else:
-            injected.append(produced)
+            skipped += 1
 
     if skipped:
         logger.warning("noise injection fell short: %d of %d skipped", skipped, target)
@@ -125,27 +128,25 @@ def make_classification_negatives(graph: KnowledgeGraph, seed: int):
     """
     rng = np.random.default_rng(seed)
     slot_index = SlotIndex.from_graph(graph)
+    n_relations, n_entities = graph.n_relations, graph.n_entities
 
     def build(split: np.ndarray):
         rows, labels = [], []
         skipped = 0
-        for triple in split:
-            rows.append(tuple(int(x) for x in triple))
+        for h, r, t in split.tolist():
+            rows.append((h, r, t))
             labels.append(1)
-            negative = None
             for _ in range(_MAX_ATTEMPTS):
-                candidate = _corrupt_once(triple, slot_index, rng)
+                candidate = _corrupt_once(h, r, t, slot_index, rng)
                 if candidate is None:
                     continue
-                if graph.encode(*candidate) in graph.positive_index:
-                    continue
-                negative = candidate
-                break
-            if negative is None:
+                ch, _, ct = candidate
+                if (ch * n_relations + r) * n_entities + ct not in graph.positive_index:
+                    rows.append(candidate)
+                    labels.append(-1)
+                    break
+            else:
                 skipped += 1
-                continue
-            rows.append(negative)
-            labels.append(-1)
         if skipped:
             logger.warning("classification negatives: %d positives left unmatched", skipped)
         arr = np.asarray(rows, dtype=np.int64).reshape(-1, 3)

@@ -959,6 +959,26 @@ def test_adam_rejects_non_finite_gradient():
         adam_step(store, bad, AdamConfig())
 
 
+@pytest.mark.parametrize("threads", [1, 2], ids=["1thread", "2threads"])
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan], ids=["inf", "-inf", "nan"])
+def test_adam_raises_non_finite_gradient_without_a_warning(entry, threads):
+    # inf / inf in the update must not print numpy's "invalid value"
+    # warning before the NumericError; pool threads run the chunks too.
+    store = init_embeddings(40, 2, 3, DistMult(), seed=0)
+    before = store.copy()
+    values = np.ones((30, 3))
+    values[17, 1] = entry
+    bad = {"entities": SparseGrad(np.arange(30), values)}
+    with mock.patch.object(models, "_ROW_BLOCK", 4), chunk_threads(threads), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericError) as raised:
+            adam_step(store, bad, AdamConfig())
+    assert str(raised.value) == "non-finite gradient for entities row 17"
+    before.step += 1  # the step count advances before any table is updated
+    assert_same_store_bits(store, before)
+
+
 def test_adam_reports_relation_row_of_shared_table():
     # Row |E| + 1 of the shared table is relation 1.
     store = init_embeddings(3, 2, 2, TransE(), seed=0)
