@@ -162,6 +162,9 @@ class KnowledgeGraph:
         self.load_report = load_report
 
         self._check_ranges()
+        # encode_array's weights: code = h |R||E| + r |E| + t.
+        self._code_weights = np.array([self.n_relations * self.n_entities, self.n_entities, 1],
+                                      dtype=np.int64)
         encoded = np.concatenate(
             [self.encode_array(s) for s in (self.train, self.valid, self.test)]
         )
@@ -196,7 +199,7 @@ class KnowledgeGraph:
     def encode_array(self, triples: np.ndarray) -> np.ndarray:
         if len(triples) == 0:
             return np.zeros(0, dtype=np.int64)
-        return (triples[:, 0] * self.n_relations + triples[:, 1]) * self.n_entities + triples[:, 2]
+        return triples @ self._code_weights
 
     def is_positive(self, head: int, relation: int, tail: int) -> bool:
         return self.encode(head, relation, tail) in self.positive_index

@@ -32,12 +32,16 @@ A training step works in cache-sized pieces. Each loss body goes through
 its positive and negative blocks in chunks of ``_ROW_BLOCK`` rows, writing
 scores into a batch-wide vector and gradient rows straight into their rows
 of a row-major contribution buffer per table; RotatE takes the trig of the
-relation table once per call. ``_accumulate`` sums a buffer's rows per
-touched row in one sorted CSR pass, in ranges of touched rows that each
-zero-fill their own rows of the sums; DistMult's L2 term gathers and
-squares the touched rows in row chunks; ``adam_step`` gathers, updates
-and checks each table's rows chunk by chunk and scatters them back in the
-same chunks. ``score_batch`` scores in the same row chunks.
+relation table once per call. TransE scores a chunk's positives and
+negatives as one (2, rows, d) block and writes 3n contribution rows for
+its 5n ids (g_pos, g_neg and g_pos - g_neg), which the ids read through
+signed references. ``_accumulate`` sums a buffer's rows per touched row
+in one sorted CSR pass, in one call for a small gradient and else in
+ranges of touched rows that each zero-fill their own rows of the sums;
+DistMult's L2 term gathers and squares the touched rows in row chunks;
+``adam_step`` gathers, updates and checks each table's rows chunk by
+chunk and scatters them back in the same chunks. ``score_batch`` scores
+in the same row chunks.
 
 The workspace. The contribution buffers, DistMult's gathered L2 rows and
 their squares, and Adam's gathered rows are carved from one flat float64
@@ -86,6 +90,7 @@ differ or whose norm or negatives field is invalid for its kind.
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import os
 import struct
@@ -230,7 +235,7 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
     made for the whole batch at once; the rows it makes known positives
     are then redrawn row by row.
     """
-    out = np.repeat(np.asarray(triples, dtype=np.int64).reshape(-1, 3), count, axis=0)
+    out = np.asarray(triples, dtype=np.int64).reshape(-1, 3).repeat(count, axis=0)
     n = len(out)
     replace_head = rng.random(n) < 0.5
     candidates = rng.integers(0, graph.n_entities, size=n)
@@ -238,17 +243,21 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
     np.copyto(out[:, 2], candidates, where=~replace_head)
 
     # One C-level membership pass picks out the known positives; only those
-    # rows enter the redraw loop, so the generator is drawn as before.
-    known = map(graph.positive_index.__contains__, graph.encode_array(out).tolist())
-    for i in compress(range(n), known):
-        h, r, t = out[i]
+    # rows enter the redraw loop, on plain ints, so the generator is drawn as before.
+    positive_index = graph.positive_index
+    hits = list(compress(range(n), map(positive_index.__contains__,
+                                       graph.encode_array(out).tolist())))
+    if not hits:
+        return out
+    n_ent, n_rel = graph.n_entities, graph.n_relations
+    for i, (h, r, t), head in zip(hits, out[hits].tolist(), replace_head[hits].tolist()):
         for _ in range(_MAX_RESAMPLES):
-            candidate = int(rng.integers(graph.n_entities))
-            if replace_head[i]:
+            candidate = rng.integers(0, n_ent).item()
+            if head:
                 h = candidate
             else:
                 t = candidate
-            if not graph.is_positive(h, r, t):
+            if (h * n_rel + r) * n_ent + t not in positive_index:
                 break
         out[i, 0], out[i, 2] = h, t
     return out
@@ -427,34 +436,46 @@ def _scratch(*shapes: tuple[int, int]) -> tuple:
     return views
 
 
-def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGrad:
-    """Sum the ``contribs`` rows that share a row id in ``[0, n_rows)``.
+def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int,
+                refs: np.ndarray | None = None, signs: np.ndarray | None = None) -> SparseGrad:
+    """Sum the contributions of the ids in ``rows`` per row id in ``[0, n_rows)``.
 
-    One stable sort of the ids, run on their narrowest unsigned copy (which
+    Id i contributes ``contribs[i]``, or ``signs[i] * contribs[refs[i]]``
+    given signed references (a row of ``contribs`` and a +-1.0 per id). One
+    stable sort of the ids, run on their narrowest unsigned copy (which
     numpy radix-sorts up to 16 bits), lines up each touched row's
     contributions in input order. ``csr_matvecs`` multiplies the CSR matrix
-    of ones this makes (one row per touched row) by the row-major
-    ``contribs`` into zeros, so each sum is 0.0 + 1.0*c1 + 1.0*c2 + ... in
-    input order: bitwise what ``np.add.at`` into zeros gives. Ranges of
-    touched rows, sized as the ``_CELL_BLOCK`` comment says, are summed on
-    the chunk pool, each into its own rows of the freshly allocated result,
-    which it zero-fills just before the kernel adds into them.
+    this makes (the signs, or ones, as data) by the row-major ``contribs``
+    into zeros, so each sum is 0.0 + s1*c1 + s2*c2 + ... in input order:
+    bitwise ``np.add.at`` of the signed rows into zeros, as a product with
+    +-1.0 is exact. Up to one range's cells are summed in one call; more in
+    ranges of touched rows, sized as the ``_CELL_BLOCK`` comment says, on
+    the chunk pool, each zero-filling its own rows of the fresh result just
+    before the kernel adds into them.
     """
-    n, width = contribs.shape
+    n, width = len(rows), contribs.shape[1]
     counts = np.bincount(rows, minlength=n_rows)
     # Else the sort key would wrap an id, or the kernel read past contribs.
-    if len(counts) != n_rows or len(rows) != n:
-        raise ValueError(f"want {n} row ids in [0, {n_rows}), "
-                         f"got {len(rows)} up to {len(counts) - 1}")
-    unique = np.flatnonzero(counts)
-    order = np.argsort(rows.astype(np.min_scalar_type(n_rows - 1)), kind="stable")
+    sizes = {len(contribs)} if refs is None else {len(refs), len(signs)}
+    if len(counts) != n_rows or sizes != {n}:
+        raise ValueError(f"want one contribution per row id in [0, {n_rows}), "
+                         f"got {n} ids up to {len(counts) - 1}")
+    unique = counts.nonzero()[0]
+    order = rows.astype(np.min_scalar_type(n_rows - 1)).argsort(kind="stable")
     k = len(unique)
     indptr = np.empty(k + 1, dtype=np.intp)
     indptr[0] = 0
-    np.cumsum(counts[unique], out=indptr[1:])
-    acc = np.empty((k, width))
-    ones = np.ones(n)
+    counts[unique].cumsum(out=indptr[1:])
+    if refs is None:
+        data = np.ones(n)
+    else:
+        order, data = refs.take(order), signs.take(order)
     cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, n * width // 4))
+    if n * width <= cells:
+        acc = np.zeros((k, width))
+        _csr_matvecs(k, len(contribs), width, indptr, order, data, contribs, acc)
+        return SparseGrad(unique, acc)
+    acc = np.empty((k, width))
     # A range starts at each touched row that holds a contribution numbered
     # a multiple of cells // width: the row whose end lies past it.
     firsts = np.searchsorted(indptr[1:], np.arange(0, n, max(1, cells // width)), "right")
@@ -464,7 +485,7 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int) -> SparseGr
         lo, hi = piece
         out = acc[lo:hi]
         out.fill(0.0)
-        _csr_matvecs(hi - lo, n, width, indptr[lo:hi + 1], order, ones, contribs, out)
+        _csr_matvecs(hi - lo, len(contribs), width, indptr[lo:hi + 1], order, data, contribs, out)
 
     _run_chunks(range_sum, zip(bounds, bounds[1:]))
     return SparseGrad(unique, acc)
@@ -511,6 +532,14 @@ class ModelKind:
         return rows
 
 
+@functools.lru_cache(maxsize=8)
+def _transe_refs(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed references of a TransE batch of ``n``: ids hp, tp, hn, tn and r
+    read rows g_pos, g_pos, g_neg, g_neg and g_pos - g_neg as +, -, -, +, +."""
+    refs = np.arange(3 * n).reshape(3, n)[[0, 0, 1, 1, 2]].ravel()
+    return refs, np.repeat([1.0, -1.0, -1.0, 1.0, 1.0], n)
+
+
 @dataclass(frozen=True)
 class TransE(ModelKind):
     norm: str = "l1"  # "l1" or "l2"
@@ -533,47 +562,42 @@ class TransE(ModelKind):
     def loss_grad(self, store, positives, negatives):
         ent, rel, n_ent = store.entities, store.relations, store.n_entities
         n, r = len(positives), positives[:, 1]
-
-        def parts(tr, rel_rows, grad):
-            """Distances ||h + r - t|| of a triple chunk; writes their gradients in h
-            into ``grad``."""
-            delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
-            if self.norm == "l1":
-                np.sign(delta, out=grad)
-                return np.abs(delta).sum(axis=1)
-            norm = np.sqrt((delta * delta).sum(axis=1))
-            live = norm > 0.0
-            np.divide(delta, np.where(live, norm, 1.0)[:, None], out=grad)
-            grad[~live] = 0.0
-            return norm
-
+        # Positives over negatives: heads and tails of shape (2, n).
+        pairs = np.concatenate([positives, negatives]).reshape(2, n, 3)
+        heads, tails = pairs[..., 0], pairs[..., 2]
         violation = np.empty(n)
-        # Rows hp, tp, hn, tn of (g_pos, -g_pos, -g_neg, g_neg), then r of
-        # g_pos - g_neg. Inactive rows contribute zeros; their signs cannot
-        # reach the sums, which start from +0.0.
-        contrib, = _scratch((5 * n, store.dim))
-        g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
+        # Rows g_pos (the gradient in h of the positives' distances), g_neg and
+        # g_pos - g_neg; inactive rows hold zeros. The ids hp, tp, hn, tn and r
+        # add them as +g_pos, -g_pos, -g_neg, +g_neg and +(g_pos - g_neg).
+        contrib, = _scratch((3 * n, store.dim))
+        grads, g_r = contrib[:2 * n].reshape(2, n, store.dim), contrib[2 * n:]
 
         def chunk(rows):
-            rel_rows = rel.take(r[rows], 0)
-            g_pos, g_neg = g_hp[rows], g_tn[rows]
-            d_pos = parts(positives[rows], rel_rows, g_pos)
-            d_neg = parts(negatives[rows], rel_rows, g_neg)
+            # Distances ||h + r - t|| of positives and negatives as one block.
+            delta = ent.take(heads[:, rows], 0)
+            delta += rel.take(r[rows], 0)
+            delta -= ent.take(tails[:, rows], 0)
+            grad = grads[:, rows]
+            if self.norm == "l1":
+                np.sign(delta, out=grad)
+                dist = np.abs(delta, out=delta).sum(axis=2)
+            else:
+                dist = np.sqrt((delta * delta).sum(axis=2))
+                live = dist > 0.0
+                np.divide(delta, np.where(live, dist, 1.0)[..., None], out=grad)
+                grad[~live] = 0.0
             # f_neg - f_pos + margin with f = -distance, bit for bit.
-            v = np.subtract(d_pos, d_neg, out=violation[rows])
+            v = np.subtract(dist[0], dist[1], out=violation[rows])
             v += self.margin
-            inactive = ~(v > 0.0)
-            g_pos[inactive] = 0.0
-            g_neg[inactive] = 0.0
-            np.subtract(g_pos, g_neg, out=g_r[rows])
-            np.negative(g_pos, out=g_tp[rows])
-            np.negative(g_neg, out=g_hn[rows])
+            grad[:, ~(v > 0.0)] = 0.0
+            np.subtract(grad[0], grad[1], out=g_r[rows])
 
         _run_chunks(chunk, _row_chunks(n))
         loss = float(violation[violation > 0.0].sum())
         ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
                               r + n_ent])
-        return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations)}
+        return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations,
+                                              *_transe_refs(n))}
 
 
 @dataclass(frozen=True)
@@ -895,7 +919,7 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
             if message is not None:
                 raise NumericError(message)
             if project_entities is not None and name == "entities":
-                project_entities(p_rows[:np.searchsorted(rows, store.n_entities)])
+                project_entities(p_rows[:rows.searchsorted(store.n_entities)])
             _run_chunks(scatter, chunks)
 
 

@@ -81,11 +81,14 @@ def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
     translation training keeps the original method's unit-norm entity
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
-    Rows of norm 0 are left as they are. ``adam_step`` passes a view of
-    the entity rows it gathered and stores them after this returns.
+    Rows of norm 0 are divided by 1.0, which keeps their bits. ``adam_step``
+    passes a view of the entity rows it gathered, all of them finite, and
+    stores them after this returns.
     """
-    norms = np.sqrt((block ** 2).sum(axis=1, keepdims=True))
-    return np.divide(block, norms, out=block, where=norms > 0.0)
+    norms = np.square(block).sum(1, keepdims=True)
+    np.sqrt(norms, out=norms)
+    norms[~(norms > 0.0)] = 1.0
+    return np.divide(block, norms, out=block)
 
 
 @dataclass

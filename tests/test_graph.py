@@ -124,6 +124,27 @@ def test_positive_index_matches_linear_scan(data):
                 assert graph.is_positive(h, r, t) == ((h, r, t) in members)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_encode_array_equals_the_column_formula(data):
+    n_ent, n_rel = data.draw(st.integers(1, 50_000)), data.draw(st.integers(1, 500))
+    graph = make_graph([], n_entities=n_ent, n_relations=n_rel)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    size = data.draw(st.integers(0, 50))
+    # In-range ids, and any int64: both wrap alike past 2**63.
+    in_range = data.draw(st.booleans())
+    if in_range:
+        triples = np.stack([rng.integers(0, n_ent, size), rng.integers(0, n_rel, size),
+                            rng.integers(0, n_ent, size)], axis=1)
+    else:
+        triples = rng.integers(-2 ** 63, 2 ** 63, (size, 3), dtype=np.int64)
+    expected = (triples[:, 0] * n_rel + triples[:, 1]) * n_ent + triples[:, 2]
+    codes = graph.encode_array(triples)
+    assert codes.dtype == np.int64 and np.array_equal(codes, expected)
+    if in_range:
+        assert codes.tolist() == [graph.encode(*row) for row in triples.tolist()]
+
+
 def test_splits_are_read_only(tiny_graph):
     with pytest.raises(ValueError):
         tiny_graph.train[0, 0] = 99

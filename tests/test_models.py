@@ -682,6 +682,122 @@ def test_chunked_distmult_l2_term_is_bitwise_the_reference(threads):
     assert np.array_equal(bits(grads["entities"].values), bits(expected_grads["entities"].values))
 
 
+class ReferenceTransE(TransE):
+    """TransE with positives and negatives scored apart and every id's
+    contribution row written out (hp, tp, hn, tn and r of g_pos, -g_pos,
+    -g_neg, g_neg and g_pos - g_neg): the reference for the stacked loss and
+    its signed references."""
+
+    def loss_grad(self, store, positives, negatives):
+        ent, rel, n_ent = store.entities, store.relations, store.n_entities
+        n, r = len(positives), positives[:, 1]
+
+        def parts(tr, rel_rows, grad):
+            delta = ent.take(tr[:, 0], 0) + rel_rows - ent.take(tr[:, 2], 0)
+            if self.norm == "l1":
+                np.sign(delta, out=grad)
+                return np.abs(delta).sum(axis=1)
+            norm = np.sqrt((delta * delta).sum(axis=1))
+            live = norm > 0.0
+            np.divide(delta, np.where(live, norm, 1.0)[:, None], out=grad)
+            grad[~live] = 0.0
+            return norm
+
+        violation = np.empty(n)
+        contrib = np.empty((5 * n, store.dim))
+        g_hp, g_tp, g_hn, g_tn, g_r = (contrib[i * n:(i + 1) * n] for i in range(5))
+
+        def chunk(rows):
+            rel_rows = rel.take(r[rows], 0)
+            g_pos, g_neg = g_hp[rows], g_tn[rows]
+            d_pos = parts(positives[rows], rel_rows, g_pos)
+            d_neg = parts(negatives[rows], rel_rows, g_neg)
+            v = np.subtract(d_pos, d_neg, out=violation[rows])
+            v += self.margin
+            inactive = ~(v > 0.0)
+            g_pos[inactive] = 0.0
+            g_neg[inactive] = 0.0
+            np.subtract(g_pos, g_neg, out=g_r[rows])
+            np.negative(g_pos, out=g_tp[rows])
+            np.negative(g_neg, out=g_hn[rows])
+
+        models._run_chunks(chunk, models._row_chunks(n))
+        loss = float(violation[violation > 0.0].sum())
+        ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
+                              r + n_ent])
+        return loss, {"entities": models._accumulate(ids, contrib, n_ent + store.n_relations)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_stacked_transe_loss_is_bitwise_the_reference(data):
+    norm = data.draw(st.sampled_from(["l1", "l2"]))
+    # Distances here lie between 0 and a few dozen: the extreme margins leave
+    # every row inactive or every row active, the others some of each.
+    margin = data.draw(st.sampled_from([-1e3, 0.0, 0.5, 2.0, 1e3]))
+    n_ent, n_rel = data.draw(st.integers(6, 20)), data.draw(st.integers(1, 4))
+    graph = random_graph(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                         n_entities=n_ent, n_relations=n_rel,
+                         n_train=data.draw(st.integers(1, 30)), n_valid=2, n_test=2)
+    batch = graph.train[data.draw(st.lists(st.integers(0, len(graph.train) - 1), min_size=1,
+                                           max_size=40))]
+    dim = data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    zero_residuals = data.draw(st.booleans())
+    if zero_residuals:  # as in chunked_training_run: the zero-norm branch runs
+        batch = np.concatenate([batch, [[0, 0, 1], [1, 0, 0]]])
+    row_block = data.draw(st.sampled_from([1, 7, 384]))
+    threads = data.draw(st.sampled_from([1, 2]))
+    # Gradient-sum ranges of a few rows, or one range.
+    cells = data.draw(st.sampled_from([(64, 8), (models._CELL_BLOCK, models._MIN_CELL_BLOCK)]))
+    runs = []
+    for kind in (TransE(norm, margin), ReferenceTransE(norm, margin)):
+        store = init_embeddings(n_ent, n_rel, dim, kind, seed=seed % 1000)
+        if zero_residuals:
+            store.entities[1] = store.entities[0]
+            store.relations[0] = 0.0
+        with mock.patch.object(models, "_ROW_BLOCK", row_block), chunk_threads(threads), \
+                mock.patch.object(models, "_CELL_BLOCK", cells[0]), \
+                mock.patch.object(models, "_MIN_CELL_BLOCK", cells[1]):
+            runs.append(loss_and_grad(kind, store, graph, batch, np.random.default_rng(seed)))
+    (loss, grads), (expected_loss, expected_grads) = runs
+    assert bits(loss).tolist() == bits(expected_loss).tolist()
+    assert list(grads) == list(expected_grads) == ["entities"]
+    assert np.array_equal(grads["entities"].rows, expected_grads["entities"].rows)
+    assert np.array_equal(bits(grads["entities"].values), bits(expected_grads["entities"].values))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_accumulate_signed_references_equal_add_at_of_the_signed_rows(data):
+    n_rows = data.draw(st.integers(1, 10))
+    rows = np.array(data.draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=40)))
+    n_contribs = data.draw(st.integers(1, 12))
+    width = data.draw(st.integers(1, 60))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (n_contribs, width)
+    contribs = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+    contribs[rng.random(shape) < data.draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    refs = rng.integers(0, n_contribs, size=len(rows))
+    signs = rng.choice([-1.0, 1.0], size=len(rows))
+    cell_block = data.draw(st.sampled_from([1, 7, 64, models._CELL_BLOCK]))
+    with mock.patch.object(models, "_CELL_BLOCK", cell_block):
+        grad = models._accumulate(rows, contribs, n_rows, refs, signs)
+    unique, expected = add_at_reference(rows, signs[:, None] * contribs[refs])
+    assert np.array_equal(grad.rows, unique)
+    assert np.array_equal(grad.values.view(np.uint64), expected.view(np.uint64))
+
+
+def test_accumulate_refuses_references_of_another_count():
+    rows, contribs = np.array([0, 1, 1]), np.ones((2, 3))
+    with pytest.raises(ValueError):
+        models._accumulate(rows, contribs, 2, np.array([0, 1]), np.ones(3))
+    with pytest.raises(ValueError):
+        models._accumulate(rows, contribs, 2, np.array([0, 1, 1]), np.ones(2))
+    with pytest.raises(ValueError):
+        models._accumulate(rows, contribs, 2, np.array([0, 1, 1, 0]), np.ones(4))
+
+
 def test_rotate_trig_is_taken_once_per_call():
     # The relation table's trig is taken once per loss call, however many
     # chunks gather rows from it.

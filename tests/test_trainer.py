@@ -91,6 +91,23 @@ def test_translation_rows_unit_norm_after_training():
     np.testing.assert_allclose(norms, 1.0, rtol=1e-12)
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_projection_keeps_the_bits_of_the_masked_divide(seed):
+    # Rows of +0.0, of -0.0, of both, and of magnitudes over 16 decades.
+    rng = np.random.default_rng(seed)
+    block = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-8, 8, (40, 7))
+    block[rng.random(40) < 0.3] = 0.0
+    block[rng.random(40) < 0.3] = -0.0
+    block[rng.random((40, 7)) < 0.2] *= -0.0
+    expected = block.copy()
+    norms = np.sqrt((expected ** 2).sum(axis=1, keepdims=True))
+    np.divide(expected, norms, out=expected, where=norms > 0.0)
+    assert (np.square(block).sum(axis=1) == 0.0).any()
+    out = trainer._normalize_entity_rows(block)
+    assert out is block
+    assert np.array_equal(block.view(np.uint64), expected.view(np.uint64))
+
+
 def test_empty_train_set_rejected():
     graph = ten_triple_graph()
     config = small_config()
