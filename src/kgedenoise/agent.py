@@ -111,10 +111,6 @@ class Trajectory:
     def __len__(self) -> int:
         return len(self.actions)
 
-    @property
-    def log_probs(self) -> np.ndarray:
-        return np.where(self.actions, log_expit(self.logits), log_expit(-self.logits))
-
     def prior_means(self) -> tuple[np.ndarray, np.ndarray]:
         """Selected-head/tail means visible to the policy at each step."""
         sel = self.actions.astype(np.float64)[:, None]

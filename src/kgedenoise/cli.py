@@ -88,6 +88,8 @@ def _build_config(args) -> TrainConfig:
 
 def cmd_train(args) -> int:
     config = _build_config(args)
+    if args.clusters and config.mode != "mtrl":
+        raise UsageError(f"--clusters needs mode mtrl, got {config.mode}")
     graph = load_graph_dir(args.data)
     kind = trainer.model_kind(config)
     _create_dir(args.out)
@@ -118,6 +120,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    if args.mask and not args.labels:
+        raise UsageError("--mask needs --labels")
     graph = load_graph_dir(args.graph)
     store = load_store(args.checkpoint)
     if (store.n_entities, store.n_relations) != (graph.n_entities, graph.n_relations):

@@ -127,6 +127,8 @@ def load_clusters(path, relation_vocab: Vocabulary) -> RelationClusters:
         if len(fields) != 2:
             raise DataError(f"{path}:{lineno}: expected `relation<TAB>cluster`")
         relation = relation_vocab.id_of(fields[0])
+        if assignment[relation] >= 0:
+            raise DataError(f"{path}:{lineno}: relation {fields[0]!r} is listed twice")
         # More clusters than relations would leave some empty by construction.
         try:
             cluster = int(fields[1])

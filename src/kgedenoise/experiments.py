@@ -23,8 +23,8 @@ from .models import score_batch
 from .noise import inject_noise, make_classification_negatives
 from .seeding import seed_for
 from .synth import generate_shift_graph
-from .trainer import (joint_train, model_kind, pretrain_kge, score_filter_mask,
-                      xscore_baseline)
+from .trainer import (JointResult, joint_train, model_kind, pretrain_kge,
+                      score_filter_mask, xscore_baseline)
 
 logger = logging.getLogger(__name__)
 
@@ -77,7 +77,7 @@ FULLSCALE_CONFIG = TrainConfig(
 )
 
 
-def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, labels, mask) -> dict:
+def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, mask) -> dict:
     """Noise F1, filtered ranking, and classification on the run's one ``negatives`` set."""
     lp = link_prediction(kind, store, graph)
     cls = triple_classification(kind, store, *negatives)
@@ -86,13 +86,28 @@ def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, labels, mask) 
         "hits": {str(n): v for n, v in sorted(lp.hits.items())},
         "classification_accuracy": cls.accuracy,
     }
-    if labels is not None and labels.any():
+    if graph.train_labels.any():
         out["noise_f1_score_sweep"] = noise_detection_f1(
-            score_batch(kind, store, graph.train), labels)
+            score_batch(kind, store, graph.train), graph.train_labels)
         if mask is not None:
-            out["noise_f1"] = noise_detection_f1(mask, labels)
+            out["noise_f1"] = noise_detection_f1(mask, graph.train_labels)
             out["kept"] = int(mask.sum())
     return out
+
+
+def _plain_and_agents(graph: KnowledgeGraph, kind, config: TrainConfig, mode: str,
+                      negatives) -> tuple[dict, JointResult | None]:
+    """Per-model reports of plain training and, for strl/mtrl, the selection
+    agents; and the joint result (None in plain mode)."""
+    logger.info("seed %d: plain baseline", config.seed)
+    plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(config.seed, "plain")))
+    models = {"plain": evaluate_store(kind, plain.store, graph, negatives, None)}
+    if mode not in ("strl", "mtrl"):
+        return models, None
+    logger.info("seed %d: selection agents (%s)", config.seed, mode)
+    joint = joint_train(graph, kind, mode, config.replace(seed=seed_for(config.seed, "joint")))
+    models[mode] = evaluate_store(kind, joint.store, graph, negatives, joint.mask)
+    return models, joint
 
 
 def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
@@ -125,25 +140,14 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
             "test": len(graph.test),
             "injected": int(labels.sum()),
         },
-        "models": {},
     }
 
-    logger.info("preset %s seed %d: plain baseline", preset.name, seed)
-    plain_cfg = config.replace(seed=seed_for(seed, "plain"))
-    plain = pretrain_kge(graph, kind, plain_cfg)
-    report["models"]["plain"] = evaluate_store(kind, plain.store, graph, negatives, labels, None)
+    report["models"], joint = _plain_and_agents(graph, kind, config, preset.mode, negatives)
 
-    logger.info("preset %s seed %d: selection agents (%s)", preset.name, seed, preset.mode)
-    joint_cfg = config.replace(seed=seed_for(seed, "joint"))
-    joint = joint_train(graph, kind, preset.mode, joint_cfg)
-    report["models"][preset.mode] = evaluate_store(kind, joint.store, graph, negatives,
-                                                   labels, joint.mask)
-
-    logger.info("preset %s seed %d: score-filter baseline", preset.name, seed)
+    logger.info("seed %d: score-filter baseline", seed)
     xscore_cfg = config.replace(seed=seed_for(seed, "xscore"))
     xscore = xscore_baseline(graph, kind, config.delta, xscore_cfg)
-    report["models"]["xscore"] = evaluate_store(kind, xscore.store, graph, negatives,
-                                                labels, xscore.mask)
+    report["models"]["xscore"] = evaluate_store(kind, xscore.store, graph, negatives, xscore.mask)
     report["models"]["xscore"]["pretrain_score_sweep_f1"] = noise_detection_f1(
         xscore.pretrain_scores, labels)
 
@@ -170,23 +174,8 @@ def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: 
     clean = load_graph_dir(data_dir)
     graph = inject_noise(clean, noise_rate, seed_for(config.seed, "noise"))
     negatives = make_classification_negatives(graph, seed_for(config.seed, "class-negatives"))
-    kind = model_kind(config)
-
-    plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(config.seed, "plain")))
-    report = {
-        "data_dir": str(data_dir),
-        "noise_rate": noise_rate,
-        "models": {
-            "plain": evaluate_store(kind, plain.store, graph, negatives, graph.train_labels,
-                                    None),
-        },
-    }
-    if mode in ("strl", "mtrl"):
-        joint = joint_train(graph, kind, mode,
-                            config.replace(seed=seed_for(config.seed, "joint")))
-        report["models"][mode] = evaluate_store(kind, joint.store, graph, negatives,
-                                                graph.train_labels, joint.mask)
-    return report
+    models, _ = _plain_and_agents(graph, model_kind(config), config, mode, negatives)
+    return {"data_dir": str(data_dir), "noise_rate": noise_rate, "models": models}
 
 
 def write_report(report: dict, path) -> None:

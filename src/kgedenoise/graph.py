@@ -226,7 +226,7 @@ class KnowledgeGraph:
 
 
 def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Vocabulary,
-                report: LoadReport, train_entities: set[str], train_relations: set[str]):
+                report: LoadReport):
     rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
     raw = dups = 0
@@ -242,13 +242,6 @@ def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Voca
             )
         raw += 1
         head_name, rel_name, tail_name = fields
-        if split != "train":
-            if head_name not in train_entities:
-                report.eval_only_entities += head_name not in entity_vocab
-            if tail_name not in train_entities:
-                report.eval_only_entities += tail_name not in entity_vocab
-            if rel_name not in train_relations:
-                report.eval_only_relations += rel_name not in relation_vocab
         triple = (entity_vocab.add(head_name), relation_vocab.add(rel_name),
                   entity_vocab.add(tail_name))
         if triple in seen:
@@ -274,14 +267,13 @@ def load_graph(train_path, valid_path, test_path) -> KnowledgeGraph:
     relation_vocab = Vocabulary()
     report = LoadReport()
 
-    train_rows = _read_split(train_path, "train", entity_vocab, relation_vocab,
-                             report, set(), set())
-    train_entities = set(entity_vocab.names)
-    train_relations = set(relation_vocab.names)
-    valid_rows = _read_split(valid_path, "valid", entity_vocab, relation_vocab,
-                             report, train_entities, train_relations)
-    test_rows = _read_split(test_path, "test", entity_vocab, relation_vocab,
-                            report, train_entities, train_relations)
+    train_rows = _read_split(train_path, "train", entity_vocab, relation_vocab, report)
+    train_entities, train_relations = len(entity_vocab), len(relation_vocab)
+    valid_rows = _read_split(valid_path, "valid", entity_vocab, relation_vocab, report)
+    test_rows = _read_split(test_path, "test", entity_vocab, relation_vocab, report)
+    # Ids follow first appearance, train first: every id past train's is eval-only.
+    report.eval_only_entities = len(entity_vocab) - train_entities
+    report.eval_only_relations = len(relation_vocab) - train_relations
 
     report.log()
     return KnowledgeGraph(

@@ -200,7 +200,6 @@ def mimic_score_filter(graph: KnowledgeGraph, store: EmbeddingStore, params: Pol
 
 def pretrain_agents(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParams,
                     clusters: RelationClusters | None, config: TrainConfig,
-                    seed: int | None = None,
                     baselines: RewardBaselines | None = None) -> None:
     """Warm up the agents against the frozen store; no embedding updates.
 
@@ -208,8 +207,7 @@ def pretrain_agents(graph: KnowledgeGraph, store: EmbeddingStore, params: Policy
     of policy-gradient episodes.
     """
     kind = store.kind
-    if seed is None:
-        seed = seed_for(config.seed, "agents")
+    seed = seed_for(config.seed, "agents")
     if baselines is None:
         baselines = RewardBaselines(config.agent_baseline_decay)
     mimic_score_filter(graph, store, params, config)
@@ -268,18 +266,17 @@ def joint_train(graph: KnowledgeGraph, kind: ModelKind, mode: str, config: Train
         raise DataError(f"joint training mode must be strl or mtrl, got {mode!r}")
     master = config.seed
 
-    pre = pretrain_kge(graph, kind, config, seed=seed_for(master, "pretrain"))
+    pre = pretrain_kge(graph, kind, config)
     store = pre.store
     if mode == "mtrl" and clusters is None:
-        clusters = relation_clusters(store, config, seed=seed_for(master, "clusters"))
+        clusters = relation_clusters(store, config)
     if mode == "strl":
         clusters = None
 
     n_clusters = clusters.k if clusters is not None else 1
     params = PolicyParams.zeros(mode, n_clusters, graph.n_relations, agent_mod.state_dim_for(store))
     baselines = RewardBaselines(config.agent_baseline_decay)
-    pretrain_agents(graph, store, params, clusters, config, seed=seed_for(master, "agents"),
-                    baselines=baselines)
+    pretrain_agents(graph, store, params, clusters, config, baselines=baselines)
 
     selected = np.ones(len(graph.train), dtype=bool)
     stats: list[EpisodeStats] = []

@@ -195,7 +195,7 @@ def test_trajectory_length_matches_input():
     trajectory, _ = sample_trajectory(params, None, store, 0, triples,
                                       np.random.default_rng(3))
     assert len(trajectory) == 7
-    assert len(trajectory.log_probs) == 7
+    assert len(trajectory.logits) == 7
 
 
 # -- reward -------------------------------------------------------------------------------

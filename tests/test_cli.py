@@ -246,6 +246,28 @@ def test_missing_data_exits_two(tmp_path):
                 "--out", str(tmp_path / "out")]) == 2
 
 
+@pytest.mark.parametrize("mode", ["plain", "strl", "xscore"])
+def test_train_clusters_outside_mtrl_exits_one(data_dir, tmp_path, capsys, mode):
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(data_dir), "--mode", mode,
+                "--config", str(config_file(tmp_path)),
+                "--clusters", str(tmp_path / "missing.tsv"), "--out", str(out)])
+    assert code == 1
+    assert "usage error: --clusters" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_mask_without_labels_exits_one(data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "random.ckpt"
+    save_store(ckpt, init_embeddings(8, 2, 4, TransE(), seed=0))
+    report_path = tmp_path / "report.json"
+    code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
+                "--mask", str(tmp_path / "nonexistent"), "--out", str(report_path)])
+    assert code == 1
+    assert "usage error: --mask" in capsys.readouterr().err
+    assert not report_path.exists()
+
+
 @pytest.mark.parametrize("command, args", [
     ("train", ["--data", "{data}", "--mode", "plain", "--out", "{out}"]),
     ("inject-noise", ["--rate", "0.25", "--in", "{data}", "--out", "{out}"]),

@@ -124,3 +124,10 @@ def test_cluster_file_round_trip(tmp_path):
     loaded = load_clusters(path, vocab)
     assert loaded.assignment.tolist() == [1, 0, 1]
     assert loaded.k == 2
+
+
+def test_cluster_file_rejects_a_relation_listed_twice(tmp_path):
+    path = tmp_path / "clusters.tsv"
+    path.write_text("likes\t0\nknows\t0\nlikes\t1\n")
+    with pytest.raises(DataError, match=r"clusters.tsv:3: relation 'likes' is listed twice"):
+        load_clusters(path, Vocabulary(["likes", "knows"]))

@@ -45,13 +45,22 @@ def test_malformed_line_reports_position(tmp_path):
         load_graph(*paths)
 
 
-def test_eval_only_entities_flagged(tmp_path):
-    paths = write_dataset(tmp_path, ["a\tr\tb"], ["a\tr\tnew_e"], ["a\tnew_r\tb"])
+@pytest.mark.parametrize("valid, test, entities, relations", [
+    (["a\tr\tnew_e"], ["a\tnew_r\tb"], 1, 1),
+    # head and tail are one new entity: counted once
+    (["new_e\tr\tnew_e"], ["a\tr\tb"], 1, 0),
+    (["a\tr\tnew_e"], ["new_e\tr\tb"], 1, 0),
+    (["a\tr\tb"], ["a\tnew_r\tb"], 0, 1),
+], ids=["valid-entity-test-relation", "self-loop", "valid-then-test", "test-relation"])
+def test_eval_only_entities_flagged(tmp_path, valid, test, entities, relations):
+    paths = write_dataset(tmp_path, ["a\tr\tb"], valid, test)
     graph = load_graph(*paths)
-    assert graph.load_report.eval_only_entities == 1
-    assert graph.load_report.eval_only_relations == 1
-    assert "new_e" in graph.entity_vocab
-    assert "new_r" in graph.relation_vocab
+    assert graph.load_report.eval_only_entities == entities
+    assert graph.load_report.eval_only_relations == relations
+    for line in valid + test:
+        head, rel, tail = line.split("\t")
+        assert head in graph.entity_vocab and tail in graph.entity_vocab
+        assert rel in graph.relation_vocab
 
 
 def test_vocab_ids_first_appearance_order(tmp_path):
