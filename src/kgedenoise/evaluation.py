@@ -7,13 +7,17 @@ removed, and the true entity's rank counts ties pessimistically, i.e.
 rank = 1 + #strictly-better + #equal-scored others. A constant scorer
 therefore ranks every query at the size of its filtered candidate set.
 
+A query's known entities are one ``searchsorted`` range of a sorted code
+array (``KnowledgeGraph.completions``): the known tails of (h, r) in the
+graph's positive index, the known heads of (r, t) in its (t, r, h)
+counterpart, which ``link_prediction`` sorts once per call.
+
 Evaluation is read-only over a frozen store; queries aggregate in a
 fixed order so reports are byte-reproducible.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -99,16 +103,6 @@ class LinkPredictionResult:
     per_relation: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
-def _known_index(graph: KnowledgeGraph):
-    tails_of = defaultdict(list)
-    heads_of = defaultdict(list)
-    for split in (graph.train, graph.valid, graph.test):
-        for h, r, t in split.tolist():
-            tails_of[(h, r)].append(t)
-            heads_of[(r, t)].append(h)
-    return heads_of, tails_of
-
-
 def filtered_rank(scores: np.ndarray, true_entity: int, known_entities) -> int:
     """Pessimistic filtered rank of ``true_entity`` within ``scores``."""
     valid = np.ones(len(scores), dtype=bool)
@@ -126,14 +120,14 @@ def link_prediction(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGrap
     """Filtered MRR and Hits@n over head and tail queries of the test split."""
     if len(graph.test) == 0:
         raise DataError("link prediction needs a nonempty test split")
-    heads_of, tails_of = _known_index(graph)
+    head_first = graph.head_first_index()
 
     ranks = []
     for h, r, t in graph.test.tolist():
         head_scores = score_all_heads(kind, store, r, t)
-        ranks.append(filtered_rank(head_scores, h, heads_of[(r, t)]))
+        ranks.append(filtered_rank(head_scores, h, graph.completions(head_first, t, r)))
         tail_scores = score_all_tails(kind, store, h, r)
-        ranks.append(filtered_rank(tail_scores, t, tails_of[(h, r)]))
+        ranks.append(filtered_rank(tail_scores, t, graph.completions(graph.positive_index, h, r)))
 
     ranks = np.asarray(ranks, dtype=np.int64)
     reciprocal = 1.0 / ranks

@@ -170,7 +170,12 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
 
 
 def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: str) -> dict:
-    """Noise-inject an on-disk benchmark and run plain + selected variants."""
+    """Noise-inject an on-disk benchmark and run plain + selected variants.
+
+    ``mode`` is ``plain``, ``strl`` or ``mtrl``; any other, ``xscore``
+    included, raises ``UsageError`` before anything is loaded."""
+    if mode not in ("plain", "strl", "mtrl"):
+        raise UsageError(f"file experiments run modes plain, strl or mtrl, not {mode!r}")
     clean = load_graph_dir(data_dir)
     graph = inject_noise(clean, noise_rate, seed_for(config.seed, "noise"))
     negatives = make_classification_negatives(graph, seed_for(config.seed, "class-negatives"))

@@ -1,5 +1,11 @@
 """Dataset model: vocabularies, splits, TSV ingestion and the positive index.
 
+The positive index is one read-only, sorted array of distinct int64 codes,
+code = h |R||E| + r |E| + t (``encode_array``), one per known triple. A
+membership test is a ``searchsorted``, and the known tails of (h, r) are one
+contiguous range of it; the same sort over (t, r, h) codes
+(``head_first_index``) gives the known heads of (r, t) as a range.
+
 Triple files are UTF-8 text with one ``head<TAB>relation<TAB>tail`` fact
 per line. Vocabulary ids are assigned by first appearance while reading
 train, then valid, then test, which makes loading fully deterministic.
@@ -122,6 +128,16 @@ def relation_groups(relations: np.ndarray, n_relations: int) -> list[np.ndarray]
     return np.split(order, np.cumsum(counts)[:-1])
 
 
+def sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Ascending distinct ``values``: one sort, then a neighbour comparison
+    (``np.unique`` took about 90 ms per 337k int64 codes on its hash path)."""
+    values = np.sort(values)
+    first = np.empty(len(values), dtype=bool)
+    first[:1] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return values[first]
+
+
 def _as_triple_array(rows: Sequence[tuple[int, int, int]]) -> np.ndarray:
     arr = np.asarray(rows, dtype=np.int64)
     if arr.size == 0:
@@ -134,7 +150,11 @@ class KnowledgeGraph:
     """Immutable container for vocabularies, splits and the positive index.
 
     The positive index covers train + valid + test, injected noise
-    included, since the learner must not be able to tell noise apart.
+    included, since the learner must not be able to tell noise apart. It
+    is ``positive_index``, the sorted, distinct, read-only int64 codes of
+    those triples; a triple repeated across splits is in it once. At
+    FB15k-237 size (337k codes) it takes 2.7 MB, where a frozenset of the
+    same codes kept about 26 MB resident.
     Safe for unlimited concurrent readers once constructed.
     """
 
@@ -165,10 +185,7 @@ class KnowledgeGraph:
         # encode_array's weights: code = h |R||E| + r |E| + t.
         self._code_weights = np.array([self.n_relations * self.n_entities, self.n_entities, 1],
                                       dtype=np.int64)
-        encoded = np.concatenate(
-            [self.encode_array(s) for s in (self.train, self.valid, self.test)]
-        )
-        self.positive_index = frozenset(encoded.tolist())
+        self.positive_index = self._sorted_codes(self.train, self.valid, self.test)
         self._rel_positions = relation_groups(self.train[:, 1], self.n_relations)
 
     # -- construction helpers -------------------------------------------------
@@ -201,8 +218,45 @@ class KnowledgeGraph:
             return np.zeros(0, dtype=np.int64)
         return triples @ self._code_weights
 
+    def _sorted_codes(self, *blocks: np.ndarray) -> np.ndarray:
+        codes = sorted_unique(np.concatenate([self.encode_array(b) for b in blocks]))
+        codes.setflags(write=False)
+        return codes
+
     def is_positive(self, head: int, relation: int, tail: int) -> bool:
-        return self.encode(head, relation, tail) in self.positive_index
+        code = self.encode(head, relation, tail)
+        slot = self.positive_index.searchsorted(code)
+        return bool(slot < len(self.positive_index) and self.positive_index[slot] == code)
+
+    def known_rows(self, codes: np.ndarray) -> np.ndarray:
+        """Ascending positions of the ``codes`` that are in ``positive_index``.
+
+        The codes are looked up in sorted order, so the search walks the
+        index once; unsorted, 10,240 FB15k-237-shaped codes took 2.4 ms
+        against 0.8 ms.
+        """
+        index = self.positive_index
+        if len(index) == 0:
+            return np.zeros(0, dtype=np.intp)
+        order = codes.argsort()
+        ordered = codes[order]
+        rows = order[index.take(index.searchsorted(ordered), mode="clip") == ordered]
+        rows.sort()
+        return rows
+
+    def head_first_index(self) -> np.ndarray:
+        """``positive_index``'s counterpart over (t, r, h) codes, for the
+        known heads of (r, t); built afresh on each call."""
+        return self._sorted_codes(*(split[:, ::-1] for split in
+                                    (self.train, self.valid, self.test)))
+
+    def completions(self, index: np.ndarray, first: int, relation: int) -> np.ndarray:
+        """The x of every (first, relation, x) code in a sorted code array:
+        the known tails of (h, r) in ``positive_index``, or the known heads
+        of (r, t) in ``head_first_index()`` with ``first = t``."""
+        base = (int(first) * self.n_relations + int(relation)) * self.n_entities
+        start, stop = np.searchsorted(index, (base, base + self.n_entities))
+        return index[start:stop] - base
 
     # -- per-relation access ---------------------------------------------------
 

@@ -98,7 +98,6 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
-from itertools import compress
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -232,8 +231,10 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
     Each negative replaces the head or the tail (fair coin) with a uniform
     entity. A corruption that is a known positive is redrawn up to 10
     times, and the last draw is returned regardless. The first draw is
-    made for the whole batch at once; the rows it makes known positives
-    are then redrawn row by row.
+    made for the whole batch at once, and one ``searchsorted`` pass of its
+    codes through the graph's sorted positive index (``known_rows``) finds
+    the rows it makes known positives; those are then redrawn row by row,
+    in ascending order, each redraw checked against the same index.
     """
     out = np.asarray(triples, dtype=np.int64).reshape(-1, 3).repeat(count, axis=0)
     n = len(out)
@@ -242,22 +243,21 @@ def corrupt_batch(graph: KnowledgeGraph, triples: np.ndarray, rng: np.random.Gen
     np.copyto(out[:, 0], candidates, where=replace_head)
     np.copyto(out[:, 2], candidates, where=~replace_head)
 
-    # One C-level membership pass picks out the known positives; only those
-    # rows enter the redraw loop, on plain ints, so the generator is drawn as before.
-    positive_index = graph.positive_index
-    hits = list(compress(range(n), map(positive_index.__contains__,
-                                       graph.encode_array(out).tolist())))
-    if not hits:
+    # One sorted lookup in the positive index picks out the known positives,
+    # in ascending row order; only those rows enter the redraw loop, on plain
+    # ints, so the generator is drawn as before.
+    hits = graph.known_rows(graph.encode_array(out))
+    if not len(hits):
         return out
-    n_ent, n_rel = graph.n_entities, graph.n_relations
-    for i, (h, r, t), head in zip(hits, out[hits].tolist(), replace_head[hits].tolist()):
+    for i, (h, r, t), head in zip(hits.tolist(), out[hits].tolist(),
+                                  replace_head[hits].tolist()):
         for _ in range(_MAX_RESAMPLES):
-            candidate = rng.integers(0, n_ent).item()
+            candidate = rng.integers(0, graph.n_entities).item()
             if head:
                 h = candidate
             else:
                 t = candidate
-            if (h * n_rel + r) * n_ent + t not in positive_index:
+            if not graph.is_positive(h, r, t):
                 break
         out[i, 0], out[i, 2] = h, t
     return out

@@ -10,6 +10,9 @@ graph's side label array, which the training path never reads.
 Each attempt draws one call at a time: the source row (injection only),
 the coin, and the pool index if that pool is not empty. Whether an attempt
 happens depends on the earlier ones, so the loops stay loops, on plain ints.
+Each function turns the graph's sorted positive-index array into one set of
+plain-int codes for those loops' scalar lookups, and drops it on return, so
+no set of every triple stays resident with the graph.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
-from .graph import KnowledgeGraph
+from .graph import KnowledgeGraph, sorted_unique
 
 logger = logging.getLogger(__name__)
 
@@ -43,11 +46,7 @@ def _distinct_per_relation(graph: KnowledgeGraph, column: int) -> list[np.ndarra
     """Ascending distinct entities of a train column, per relation id: one
     sort of ``relation * |E| + entity`` codes, repeats dropped, split."""
     n_entities = graph.n_entities
-    codes = np.sort(graph.train[:, 1] * n_entities + graph.train[:, column])
-    first = np.empty(len(codes), dtype=bool)
-    first[:1] = True
-    np.not_equal(codes[1:], codes[:-1], out=first[1:])
-    codes = codes[first]
+    codes = sorted_unique(graph.train[:, 1] * n_entities + graph.train[:, column])
     bounds = np.searchsorted(codes, np.arange(graph.n_relations + 1) * n_entities).tolist()
     return [codes[start:stop] - r * n_entities
             for r, (start, stop) in enumerate(zip(bounds, bounds[1:]))]
@@ -86,7 +85,7 @@ def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGrap
     slot_index = SlotIndex.from_graph(graph)
     n_relations, n_entities = graph.n_relations, graph.n_entities
 
-    taken = set(graph.positive_index)
+    taken = set(graph.positive_index.tolist())
     injected: list[tuple[int, int, int]] = []
     skipped = 0
     for _ in range(target):
@@ -129,6 +128,7 @@ def make_classification_negatives(graph: KnowledgeGraph, seed: int):
     rng = np.random.default_rng(seed)
     slot_index = SlotIndex.from_graph(graph)
     n_relations, n_entities = graph.n_relations, graph.n_entities
+    known = set(graph.positive_index.tolist())
 
     def build(split: np.ndarray):
         rows, labels = [], []
@@ -141,7 +141,7 @@ def make_classification_negatives(graph: KnowledgeGraph, seed: int):
                 if candidate is None:
                     continue
                 ch, _, ct = candidate
-                if (ch * n_relations + r) * n_entities + ct not in graph.positive_index:
+                if (ch * n_relations + r) * n_entities + ct not in known:
                     rows.append(candidate)
                     labels.append(-1)
                     break

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import exhaustive_max_f1, make_graph, random_graph
+from conftest import brute_force_filtered_rank, exhaustive_max_f1, make_graph, random_graph
 from kgedenoise.errors import DataError
 from kgedenoise.evaluation import (_best_threshold, f1_score, filtered_rank, link_prediction,
                                    max_f1_sweep, noise_detection_f1, triple_classification)
@@ -211,6 +211,36 @@ def test_ranking_matches_brute_force_oracle(kind):
 
     assert result.hits[1] <= result.hits[3] <= result.hits[10]
     assert result.mrr >= result.hits[1]
+
+
+@pytest.mark.parametrize("kind", [TransE("l1"), DistMult(), RotatE()],
+                         ids=["transe-l1", "distmult", "rotate"])
+@pytest.mark.parametrize("seed", range(3))
+def test_ranking_matches_the_oracle_with_cross_split_duplicates(kind, seed):
+    # Valid repeats train triples, and test repeats train and valid triples
+    # and itself, so a query's known entities come from every split at once.
+    rng = np.random.default_rng(seed)
+    base = random_graph(rng, n_entities=12, n_relations=3, n_train=70, n_valid=10, n_test=10)
+    train, valid, test = (split.tolist() for split in (base.train, base.valid, base.test))
+    valid += [train[i] for i in rng.choice(len(train), 5, replace=False)]
+    test += [train[i] for i in rng.choice(len(train), 4, replace=False)]
+    test += valid[:3] + test[:2]
+    graph = make_graph(train, valid, test, n_entities=12, n_relations=3)
+    store = init_embeddings(12, 3, 4, kind, seed=seed)
+    result = link_prediction(kind, store, graph)
+
+    known = {tuple(row) for split in (train, valid, test) for row in split}
+
+    def score_one(h, r, t):
+        return float(score_batch(kind, store, np.array([[h, r, t]]))[0])
+
+    expected = []
+    for h, r, t in test:
+        for side in ("head", "tail"):
+            answer = h if side == "head" else t
+            expected.append(brute_force_filtered_rank(score_one, 12, (h, r, t), answer, known,
+                                                      side))
+    assert result.ranks.tolist() == expected
 
 
 def test_per_relation_matches_a_recomputation_from_ranks():

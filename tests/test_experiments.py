@@ -1,5 +1,6 @@
 import pytest
 
+from kgedenoise.errors import UsageError
 from kgedenoise.experiments import PRESETS, evaluate_store, run_file_experiment
 from kgedenoise.graph import load_graph_dir, write_triples
 from kgedenoise.noise import inject_noise, make_classification_negatives
@@ -39,3 +40,11 @@ def test_file_experiment_equals_the_stages_run_by_hand(tiny_dir, mode):
     assert report == {"data_dir": str(tiny_dir), "noise_rate": 0.2, "models": models}
     assert set(report["models"]) == ({"plain"} if mode == "plain" else {"plain", mode})
     assert graph.train_labels.any()  # the noise-detection metrics are in the compared reports
+
+
+@pytest.mark.parametrize("mode", ["xscore", "mtlr"])
+def test_file_experiment_rejects_modes_it_cannot_run(tiny_dir, mode):
+    # Only plain, strl and mtrl have a file-experiment path.
+    config = PRESETS["synthetic-tiny"].config.replace(seed=5)
+    with pytest.raises(UsageError, match=f"plain, strl or mtrl, not '{mode}'"):
+        run_file_experiment(tiny_dir, config, noise_rate=0.2, mode=mode)

@@ -75,7 +75,7 @@ def test_load_is_deterministic(tmp_path):
     one, two = load_graph(*paths), load_graph(*paths)
     assert one.entity_vocab.names == two.entity_vocab.names
     assert np.array_equal(one.train, two.train)
-    assert one.positive_index == two.positive_index
+    assert np.array_equal(one.positive_index, two.positive_index)
 
 
 def test_relation_positions_empty_and_total(tiny_graph):
@@ -131,6 +131,65 @@ def test_positive_index_matches_linear_scan(data):
         for r in range(n_rel):
             for t in range(n_ent):
                 assert graph.is_positive(h, r, t) == ((h, r, t) in members)
+
+
+def _splits_with_repeats(data, n_ent, n_rel):
+    """Train, valid and test over a small cube. Any split may be empty; valid
+    and test may repeat triples of the splits before them, and of themselves."""
+    triple = st.tuples(st.integers(0, n_ent - 1), st.integers(0, n_rel - 1),
+                       st.integers(0, n_ent - 1))
+    train = data.draw(st.lists(triple, max_size=12, unique=True))
+    splits, earlier = [train], list(train)
+    for _ in range(2):
+        split = data.draw(st.lists(triple, max_size=4))
+        if earlier:
+            split += data.draw(st.lists(st.sampled_from(earlier), max_size=3))
+        splits.append(split)
+        earlier += split
+    return splits
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_positive_index_is_sorted_unique_read_only_and_a_linear_scan(data):
+    n_ent, n_rel = 5, 3
+    train, valid, test = _splits_with_repeats(data, n_ent, n_rel)
+    graph = make_graph(train, valid, test, n_ent, n_rel)
+    members = set(train) | set(valid) | set(test)
+
+    index = graph.positive_index
+    assert index.dtype == np.int64 and index.ndim == 1
+    assert len(index) == len(members)
+    assert (index[1:] > index[:-1]).all()
+    with pytest.raises(ValueError):
+        index[:1] = 0
+
+    cube = [(h, r, t) for h in range(n_ent) for r in range(n_rel) for t in range(n_ent)]
+    codes = graph.encode_array(np.array(cube, dtype=np.int64))
+    expected = [i for i, row in enumerate(cube) if row in members]
+    assert graph.known_rows(codes).tolist() == expected
+    assert graph.known_rows(codes[::-1]).tolist() == [len(cube) - 1 - i for i in expected[::-1]]
+    for row, code in zip(cube, codes.tolist()):
+        assert graph.is_positive(*row) == (row in members) == (code in graph.positive_index)
+
+    head_first = graph.head_first_index()
+    assert len(head_first) == len(members) and (head_first[1:] > head_first[:-1]).all()
+    assert not head_first.flags.writeable
+    for a in range(n_ent):
+        for r in range(n_rel):
+            assert graph.completions(index, a, r).tolist() == sorted(
+                t for h, r2, t in members if (h, r2) == (a, r))
+            assert graph.completions(head_first, a, r).tolist() == sorted(
+                h for h, r2, t in members if (r2, t) == (r, a))
+
+
+def test_positive_index_of_a_graph_without_triples():
+    graph = make_graph([], n_entities=3, n_relations=2)
+    assert graph.positive_index.dtype == np.int64 and len(graph.positive_index) == 0
+    assert not graph.positive_index.flags.writeable
+    assert graph.known_rows(np.array([0, 5, 17])).tolist() == []
+    assert not graph.is_positive(0, 0, 0)
+    assert graph.completions(graph.head_first_index(), 1, 1).tolist() == []
 
 
 @settings(max_examples=60, deadline=None)

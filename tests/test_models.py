@@ -276,6 +276,53 @@ def reference_corrupt_batch(graph, triples, rng, count):
     return out, exhausted
 
 
+def frozenset_corrupt_batch(graph, triples, rng, count):
+    """``corrupt_batch`` with membership in a frozenset of the graph's
+    (h, r, t) tuples, the scalar reference for the sorted code index. Also
+    returns how many first draws hit a known positive."""
+    known = frozenset(row for split in (graph.train, graph.valid, graph.test)
+                      for row in map(tuple, split.tolist()))
+    out = np.asarray(triples, dtype=np.int64).reshape(-1, 3).repeat(count, axis=0)
+    replace_head = rng.random(len(out)) < 0.5
+    candidates = rng.integers(0, graph.n_entities, size=len(out))
+    np.copyto(out[:, 0], candidates, where=replace_head)
+    np.copyto(out[:, 2], candidates, where=~replace_head)
+    hits = [i for i, row in enumerate(map(tuple, out.tolist())) if row in known]
+    for i in hits:
+        h, r, t = out[i].tolist()
+        for _ in range(10):
+            candidate = rng.integers(0, graph.n_entities).item()
+            if replace_head[i]:
+                h = candidate
+            else:
+                t = candidate
+            if (h, r, t) not in known:
+                break
+        out[i, 0], out[i, 2] = h, t
+    return out, len(hits)
+
+
+@pytest.mark.parametrize("count", [1, 10])
+@pytest.mark.parametrize("seed", range(4))
+def test_corrupt_batch_equals_the_frozenset_reference(seed, count):
+    # Three quarters of the 4 x 2 x 4 cube are known, split over train, valid
+    # and test with triples repeated across splits, so first draws often hit.
+    rng = np.random.default_rng(seed)
+    cube = [(h, r, t) for h in range(4) for r in range(2) for t in range(4)]
+    known = [cube[i] for i in rng.permutation(len(cube))[:24]]
+    valid, test = known[14:19] + known[:3], known[19:] + known[2:5] + known[15:17]
+    graph = make_graph(known[:14], valid, test, n_entities=4, n_relations=2)
+    batch = graph.train[rng.integers(0, len(graph.train), 16)]
+
+    run_rng, reference_rng = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    out = corrupt_batch(graph, batch, run_rng, count)
+    expected, first_hits = frozenset_corrupt_batch(graph, batch, reference_rng, count)
+    assert first_hits > 0
+    assert out.dtype == expected.dtype and out.shape == expected.shape
+    assert out.tobytes() == expected.tobytes()
+    assert run_rng.random() == reference_rng.random()  # same number of draws
+
+
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_corrupt_batch_matches_row_by_row_reference(data):
