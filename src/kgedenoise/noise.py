@@ -8,11 +8,13 @@ known positive nor with each other; ground-truth flags go into the
 graph's side label array, which the training path never reads.
 
 Each attempt draws one call at a time: the source row (injection only),
-the coin, and the pool index if that pool is not empty. Whether an attempt
-happens depends on the earlier ones, so the loops stay loops, on plain ints.
-Each function turns the graph's sorted positive-index array into one set of
-plain-int codes for those loops' scalar lookups, and drops it on return, so
-no set of every triple stays resident with the graph.
+the coin, and the pool index if that pool is not empty. Injection's
+attempts draw the same calls whatever the earlier ones decided, so they are
+drawn in blocks and looked up in the graph's sorted positive index one
+block at a time; only the codes injected so far are kept in a set. The
+classification negatives' next pool depends on acceptance, so that loop
+stays a loop, on plain ints, and turns the positive index into one set of
+plain-int codes for its scalar lookups, dropped on return.
 """
 
 from __future__ import annotations
@@ -65,6 +67,29 @@ def _corrupt_once(h: int, r: int, t: int, slot_index: SlotIndex, rng: np.random.
     return (h, r, pool.item(rng.integers(0, len(pool)))) if len(pool) else None
 
 
+def _draw_corruptions(train: np.ndarray, slot_index: SlotIndex, count: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """The candidates of ``count`` corruption attempts, each drawing a source
+    row of ``train`` and then ``_corrupt_once``'s generator calls. A source's relation has a train
+    triple, so neither of its pools is empty and every attempt has a candidate."""
+    integers, random = rng.integers, rng.random
+    heads, tails = slot_index.heads, slot_index.tails
+    sources, columns, values = [], [], []
+    for _ in range(count):
+        source = integers(0, len(train))
+        relation = train.item(source, 1)
+        if random() < 0.5:
+            pool, column = heads[relation], 0
+        else:
+            pool, column = tails[relation], 2
+        sources.append(source)
+        columns.append(column)
+        values.append(pool.item(integers(0, len(pool))))
+    candidates = train[sources]
+    candidates[np.arange(count), columns] = values
+    return candidates
+
+
 def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGraph:
     """Fuse ``floor(rate * |train|)`` labeled hard negatives into train.
 
@@ -73,6 +98,11 @@ def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGrap
     and the final count may fall short). The positive index of the
     returned graph includes the injected triples, so the learner cannot
     tell them apart.
+
+    Attempts are drawn in blocks of the targets still open, each of which
+    needs at least one, and decided in draw order: a candidate is accepted
+    when it is neither known nor injected before. Draws past the last
+    decided attempt are dropped with the local generator.
     """
     if not 0.0 <= rate <= 1.0:
         raise DataError("noise rate must lie in [0, 1]")
@@ -83,37 +113,38 @@ def inject_noise(graph: KnowledgeGraph, rate: float, seed: int) -> KnowledgeGrap
     train = graph.train
     target = int(rate * len(train))
     slot_index = SlotIndex.from_graph(graph)
-    n_relations, n_entities = graph.n_relations, graph.n_entities
 
-    taken = set(graph.positive_index.tolist())
-    injected: list[tuple[int, int, int]] = []
-    skipped = 0
-    for _ in range(target):
-        for _ in range(_MAX_ATTEMPTS):
-            source = rng.integers(0, len(train))
-            candidate = _corrupt_once(train.item(source, 0), train.item(source, 1),
-                                      train.item(source, 2), slot_index, rng)
-            if candidate is None:
-                continue
-            h, r, t = candidate
-            code = (h * n_relations + r) * n_entities + t
-            if code not in taken:
+    taken: set[int] = set()
+    injected: list[np.ndarray] = []
+    skipped = misses = 0
+    while len(taken) + skipped < target:
+        candidates = _draw_corruptions(train, slot_index, target - len(taken) - skipped, rng)
+        codes = graph.encode_array(candidates)
+        unknown = np.ones(len(codes), dtype=bool)
+        unknown[graph.known_rows(codes)] = False
+        accepted = []
+        for row, (code, is_unknown) in enumerate(zip(codes.tolist(), unknown.tolist())):
+            if is_unknown and code not in taken:
                 taken.add(code)
-                injected.append(candidate)
+                accepted.append(row)
+                misses = 0
+            else:
+                misses += 1
+                if misses < _MAX_ATTEMPTS:
+                    continue
+                misses = 0
+                skipped += 1
+            if len(taken) + skipped == target:
                 break
-        else:
-            skipped += 1
+        injected.append(candidates[accepted])
 
     if skipped:
         logger.warning("noise injection fell short: %d of %d skipped", skipped, target)
-    logger.info("injected %d noise triples (target %d)", len(injected), target)
+    logger.info("injected %d noise triples (target %d)", len(taken), target)
 
-    if injected:
-        new_train = np.concatenate([train, np.asarray(injected, dtype=np.int64)])
-    else:
-        new_train = train.copy()
+    new_train = np.concatenate([train, *injected])
     labels = np.concatenate([np.zeros(len(train), dtype=bool),
-                             np.ones(len(injected), dtype=bool)])
+                             np.ones(len(taken), dtype=bool)])
     return graph.with_train(new_train, labels)
 
 

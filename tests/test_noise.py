@@ -1,10 +1,15 @@
+import contextlib
+import logging
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_graph, small_graphs
 from kgedenoise.errors import DataError
-from kgedenoise.graph import load_flags, write_flags
+from kgedenoise.graph import KnowledgeGraph, Vocabulary, load_flags, write_flags
 from kgedenoise.noise import SlotIndex, inject_noise, make_classification_negatives
 
 
@@ -81,7 +86,130 @@ def test_injection_deterministic_under_seed(tiny_graph):
     other = inject_noise(tiny_graph, 0.4, seed=10)
     assert np.array_equal(one.train, two.train)
     assert np.array_equal(one.train_labels, two.train_labels)
-    assert not np.array_equal(one.train, other.train) or True  # seeds may coincide on tiny sets
+    assert not np.array_equal(one.train, other.train)
+
+
+def reference_injection(graph, rate, seed):
+    """Noise injection as one attempt at a time against a set of every known
+    code, with the generator calls of ``inject_noise``: a source row, a coin
+    and a pool index per attempt. Returns the noisy train, its labels, the
+    shortfall warning (or None) and how many attempts hit a known triple or
+    an injected one."""
+    rng = np.random.default_rng(seed)
+    train = graph.train
+    target = int(rate * len(train))
+    slot_index = SlotIndex.from_graph(graph)
+    known = set(graph.positive_index.tolist())
+    taken = set(known)
+    injected = []
+    skipped = known_hits = repeats = 0
+    for _ in range(target):
+        for _ in range(100):
+            h, r, t = train[rng.integers(0, len(train))].tolist()
+            if rng.random() < 0.5:
+                pool = slot_index.heads[r]
+                h = int(pool[rng.integers(0, len(pool))])
+            else:
+                pool = slot_index.tails[r]
+                t = int(pool[rng.integers(0, len(pool))])
+            code = graph.encode(h, r, t)
+            if code not in taken:
+                taken.add(code)
+                injected.append((h, r, t))
+                break
+            known_hits += code in known
+            repeats += code not in known
+        else:
+            skipped += 1
+    new_train = np.concatenate([train, np.asarray(injected, dtype=np.int64).reshape(-1, 3)])
+    labels = np.arange(len(new_train)) >= len(train)
+    warning = f"noise injection fell short: {skipped} of {target} skipped" if skipped else None
+    return new_train, labels, warning, known_hits, repeats
+
+
+@contextlib.contextmanager
+def noise_warnings():
+    """The messages of the warnings ``kgedenoise.noise`` logs inside the block."""
+    messages = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: messages.append(record.getMessage())
+    logger = logging.getLogger("kgedenoise.noise")
+    logger.addHandler(handler)
+    try:
+        yield messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def assert_injection_matches_reference(graph, rate, seed):
+    with noise_warnings() as warnings:
+        noisy = inject_noise(graph, rate, seed)
+    train, labels, warning, known_hits, repeats = reference_injection(graph, rate, seed)
+    assert noisy.train.dtype == train.dtype and np.array_equal(noisy.train, train)
+    assert np.array_equal(noisy.train_labels, labels)
+    assert warnings == ([warning] if warning else [])
+    return known_hits, repeats, warning
+
+
+@st.composite
+def dense_graphs(draw):
+    """Graphs over 2-4 entities and 1-2 relations in which most possible
+    triples are known, so that targets often run out of attempts."""
+    n_entities, n_relations = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+    triples = [(h, r, t) for h in range(n_entities) for r in range(n_relations)
+               for t in range(n_entities)]
+    places = draw(st.lists(st.sampled_from(["train", "train", "train", "valid", "test", None]),
+                           min_size=len(triples), max_size=len(triples)))
+    splits = {name: [tr for tr, place in zip(triples, places) if place == name]
+              for name in ("train", "valid", "test")}
+    return make_graph(splits["train"], splits["valid"], splits["test"], n_entities, n_relations)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(dense_graphs(), small_graphs()), st.sampled_from([0.2, 0.5, 1.0]),
+       st.integers(0, 2**32))
+def test_injection_matches_the_per_attempt_reference(graph, rate, seed):
+    assert_injection_matches_reference(graph, rate, seed)
+
+
+def test_dense_graphs_fall_short_like_the_reference():
+    # Every relation-0 corruption of this train split is a known triple, and
+    # relation 1 leaves only (1, 1, 0) and (0, 1, 1): most targets are skipped.
+    graph = make_graph([(0, 0, 0), (0, 0, 1), (1, 0, 0), (1, 0, 1), (0, 1, 0), (1, 1, 1)],
+                       n_entities=2, n_relations=2)
+    warnings = [assert_injection_matches_reference(graph, 1.0, seed)[2] for seed in range(20)]
+    assert all(warning == "noise injection fell short: 4 of 6 skipped" for warning in warnings)
+
+
+def large_graph():
+    """60,000 distinct random triples over 300 entities and 8 relations
+    (8% of all possible ones), 50,000 of them in train."""
+    rng = np.random.default_rng(20)
+    n_entities, n_relations = 300, 8
+    codes = rng.choice(n_entities * n_relations * n_entities, size=60_000, replace=False)
+    triples = np.stack([codes // (n_relations * n_entities), codes // n_entities % n_relations,
+                        codes % n_entities], axis=1)
+    return KnowledgeGraph(Vocabulary(f"e{i}" for i in range(n_entities)),
+                          Vocabulary(f"r{i}" for i in range(n_relations)),
+                          triples[:50_000], triples[50_000:55_000], triples[55_000:])
+
+
+def test_large_injection_matches_the_per_attempt_reference():
+    known_hits, repeats, warning = assert_injection_matches_reference(large_graph(), 0.5, seed=3)
+    assert known_hits > 0 and repeats > 0 and warning is None
+
+
+def test_injection_peak_memory_is_bounded():
+    # A set of every known code alone takes about 60 B per code; the peak
+    # includes the returned graph's train, index and relation groups.
+    graph = large_graph()
+    tracemalloc.start()
+    try:
+        inject_noise(graph, 0.1, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 80 * len(graph.positive_index)
 
 
 def test_injection_shortfall_logged(caplog):
