@@ -103,7 +103,6 @@ class Trajectory:
     relation: int
     order: np.ndarray        # visit order: permutation of range(n)
     actions: np.ndarray      # (n,) bool, True = selected
-    logits: np.ndarray       # (n,) w . s_t at sampling time
     rel_feat: np.ndarray     # (W,)
     heads: np.ndarray        # (n, W) head rows in visit order
     tails: np.ndarray        # (n, W) tail rows in visit order
@@ -159,21 +158,19 @@ def sample_trajectory(params: PolicyParams, clusters: RelationClusters | None,
     tail_dots = tails @ w_tbar
 
     actions = np.zeros(n, dtype=bool)
-    logits = np.zeros(n)
     sum_h = sum_t = 0.0
     count = 0
     for step in range(n):
         z = base[step]
         if count:
             z += sum_h / count + sum_t / count
-        logits[step] = z
         if uniforms[step] < expit(z):
             actions[step] = True
             sum_h += head_dots[step]
             sum_t += tail_dots[step]
             count += 1
 
-    trajectory = Trajectory(relation, order, actions, logits, rel_feat, heads, tails)
+    trajectory = Trajectory(relation, order, actions, rel_feat, heads, tails)
     selected = np.sort(order[actions])
     return trajectory, selected
 

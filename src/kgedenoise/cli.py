@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: ``inject-noise``, ``cluster``, ``train``, ``evaluate`` and
-``experiment``. Every subcommand takes ``--seed`` and is idempotent with
-respect to ``--out`` (outputs are overwritten, never appended). Exit
-codes: 0 success, 1 usage error, 2 data error, 3 numeric failure.
+``experiment``. Every subcommand takes ``--seed`` (an integer >= 0) and
+is idempotent with respect to ``--out`` (outputs are overwritten, never
+appended). Exit codes: 0 success, 1 usage error, 2 data error, 3 numeric
+failure.
 """
 
 from __future__ import annotations
@@ -29,6 +30,14 @@ from .seeding import seed_for
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); remap to usage error
         raise UsageError(message)
+
+
+def non_negative_int(text: str) -> int:
+    """``--seed``'s type: numpy's generators take no negative seed."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _create_dir(directory) -> None:
@@ -101,8 +110,7 @@ def cmd_train(args) -> int:
         store, losses = result.store, result.losses
     elif config.mode == "xscore":
         result = trainer.xscore_baseline(graph, kind, config.delta, config)
-        store, mask = result.store, result.mask
-        losses = []
+        store, mask, losses = result.store, result.mask, result.losses
     else:
         clusters = None
         if args.clusters:
@@ -180,7 +188,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("inject-noise", help="fuse labeled hard negatives into a train split")
     p.add_argument("--rate", type=float, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--in", dest="in_dir", required=True)
     p.add_argument("--out", dest="out_dir", required=True)
     p.set_defaults(func=cmd_inject_noise)
@@ -189,7 +197,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--data", required=True, help="directory with the split files")
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_cluster)
 
@@ -199,7 +207,7 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=("plain", "strl", "mtrl", "xscore"))
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--clusters", help="precomputed clusters.tsv for mtrl")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=non_negative_int)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_train)
 
@@ -208,13 +216,13 @@ def build_parser() -> _Parser:
     p.add_argument("--graph", required=True, help="directory with the split files")
     p.add_argument("--labels", help="noise_labels.tsv sidecar")
     p.add_argument("--mask", help="selection_mask.tsv from training")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("experiment", help="run a preset end to end")
     p.add_argument("--preset", required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=non_negative_int, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_experiment)
 

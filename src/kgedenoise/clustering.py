@@ -18,6 +18,7 @@ from .errors import DataError
 from .graph import Vocabulary, text_lines
 
 _WCSS_SLACK = 1e-9
+_MAX_ITERS = 100
 
 
 @dataclass
@@ -74,26 +75,24 @@ def _repair_empty(assignment: np.ndarray, centroids: np.ndarray, matrix: np.ndar
         centroids[empty] = matrix[donor]
 
 
-def kmeans(matrix: np.ndarray, k: int, seed: int, max_iters: int = 100) -> RelationClusters:
+def kmeans(matrix: np.ndarray, k: int, seed: int) -> RelationClusters:
     """Cluster rows of ``matrix`` into ``k`` groups.
 
-    Terminates on an assignment fixpoint or after ``max_iters`` Lloyd
-    iterations; the within-cluster sum of squares is checked to be
+    Terminates on an assignment fixpoint or after ``_MAX_ITERS`` (100)
+    Lloyd iterations; the within-cluster sum of squares is checked to be
     non-increasing at every step.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
     n = len(matrix)
     if not 1 <= k <= n:
         raise DataError(f"cluster count k={k} must lie in [1, {n}]")
-    if max_iters < 1:
-        raise DataError("max_iters must be >= 1")
 
     rng = np.random.default_rng(seed)
     centroids = _seed_centers(matrix, k, rng)
     assignment = np.full(n, -1, dtype=np.int64)
     history: list[float] = []
 
-    for _ in range(max_iters):
+    for _ in range(_MAX_ITERS):
         new_assignment = assign_nearest(matrix, centroids)
         _repair_empty(new_assignment, centroids, matrix)
         converged = bool((new_assignment == assignment).all())

@@ -9,6 +9,7 @@ are never consulted.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, fields
 
@@ -87,9 +88,7 @@ class TrainConfig:
                 raise DataError(f"{name} must be > 0, got {getattr(self, name)}")
 
     def replace(self, **overrides) -> "TrainConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(overrides)
-        return TrainConfig(**values)
+        return dataclasses.replace(self, **overrides)
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(TrainConfig)}

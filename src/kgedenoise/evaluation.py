@@ -115,8 +115,8 @@ def filtered_rank(scores: np.ndarray, true_entity: int, known_entities) -> int:
     return 1 + greater + equal
 
 
-def link_prediction(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
-                    hits_at=HITS_AT) -> LinkPredictionResult:
+def link_prediction(kind: ModelKind, store: EmbeddingStore,
+                    graph: KnowledgeGraph) -> LinkPredictionResult:
     """Filtered MRR and Hits@n over head and tail queries of the test split."""
     if len(graph.test) == 0:
         raise DataError("link prediction needs a nonempty test split")
@@ -143,7 +143,7 @@ def link_prediction(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGrap
     }
     return LinkPredictionResult(
         mrr=float(reciprocal.mean()),
-        hits={n: float((ranks <= n).mean()) for n in hits_at},
+        hits={n: float((ranks <= n).mean()) for n in HITS_AT},
         ranks=ranks,
         per_relation=per_relation,
     )

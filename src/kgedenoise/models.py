@@ -14,6 +14,8 @@ softplus over +-1 labeled triples plus an L2 term on touched rows
 positive (RotatE). Every loss draws its negatives through
 ``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
+Every model takes the same lazy Adam step, ``adam_step``, whose beta1, beta2
+and epsilon are Kingma & Ba's defaults; callers pass only the learning rate.
 
 Each model kind is a frozen dataclass of its hyperparameters that also
 carries its own code: entity row width, relation init range, checkpoint
@@ -108,22 +110,11 @@ from .errors import DataError, NumericError
 from .graph import KnowledgeGraph, open_input
 
 
-def entity_width(kind: ModelKind, dim: int) -> int:
-    return kind.entity_parts * dim
-
-
-@dataclass
-class AdamConfig:
-    learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
-
-    def __post_init__(self):
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise DataError("Adam betas must lie strictly between 0 and 1")
-        if self.epsilon <= 0.0:
-            raise DataError("Adam epsilon must be positive")
+# Adam's moment decays and denominator floor (Kingma & Ba's defaults); every
+# model and stage shares them, and only the learning rate differs.
+_BETA1 = 0.9
+_BETA2 = 0.999
+_EPSILON = 1e-8
 
 
 class EmbeddingStore:
@@ -174,7 +165,7 @@ def init_embeddings(n_entities: int, n_relations: int, dim: int, kind: ModelKind
         raise DataError("embedding dimension must be >= 1")
     rng = np.random.default_rng(seed)
     bound = 6.0 / np.sqrt(dim)
-    entities = rng.uniform(-bound, bound, size=(n_entities, entity_width(kind, dim)))
+    entities = rng.uniform(-bound, bound, size=(n_entities, kind.entity_parts * dim))
     relations = rng.uniform(*kind.relation_range(bound), size=(n_relations, dim))
     return EmbeddingStore(kind, dim, entities, relations)
 
@@ -821,9 +812,10 @@ def _non_finite_row(store: EmbeddingStore, name: str, rows: np.ndarray,
     return f"{name} row {row}"
 
 
-def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamConfig,
+def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], learning_rate: float,
               project_entities=None) -> None:
-    """Bias-corrected Adam update on touched rows only.
+    """Bias-corrected Adam update on touched rows only, at ``learning_rate``
+    with beta1 = 0.9, beta2 = 0.999 and epsilon = 1e-8.
 
     The store's step count advances once per call; rows absent from the
     gradient keep their parameters and moments bitwise unchanged
@@ -859,8 +851,8 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
             raise ValueError(f"{name} gradient values have shape {grad.values.shape}, "
                              f"want {(len(rows), params.shape[1])}")
     store.step += 1
-    bias1 = 1.0 - config.beta1 ** store.step
-    bias2 = 1.0 - config.beta2 ** store.step
+    bias1 = 1.0 - _BETA1 ** store.step
+    bias2 = 1.0 - _BETA2 ** store.step
     # An inf gradient entry makes inf / inf, which the scan reports as a
     # NumericError, not a warning. Pool threads run in a copy of this context.
     with np.errstate(invalid="ignore"):
@@ -885,17 +877,17 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], config: AdamC
                 # In place, but each element sees the same operations in the same
                 # order as  m = b1*m + (1-b1)*g,  v = b2*v + (1-b2)*(g*g),
                 # p -= lr * m_hat / (sqrt(v_hat) + eps).
-                m_chunk *= config.beta1
-                m_chunk += (1.0 - config.beta1) * g
-                v_chunk *= config.beta2
+                m_chunk *= _BETA1
+                m_chunk += (1.0 - _BETA1) * g
+                v_chunk *= _BETA2
                 g_sq = g * g
-                g_sq *= 1.0 - config.beta2
+                g_sq *= 1.0 - _BETA2
                 v_chunk += g_sq
                 delta = m_chunk / bias1
-                delta *= config.learning_rate
+                delta *= learning_rate
                 denom = v_chunk / bias2
                 np.sqrt(denom, out=denom)
-                denom += config.epsilon
+                denom += _EPSILON
                 delta /= denom
                 p_chunk -= delta
                 # An inf or nan gradient entry makes its parameter nan (inf/inf in
@@ -994,7 +986,7 @@ def load_store(path) -> EmbeddingStore:
         if step_e != step_r:
             raise DataError(f"{path}: step counts differ ({step_e} and {step_r})")
         kind = _kind_from_fields(code, norm, param_a, param_k)
-        ent_shape = (n_ent, entity_width(kind, dim))
+        ent_shape = (n_ent, kind.entity_parts * dim)
         rel_shape = (n_rel, dim)
         entities, relations, *moments = read_matrices(
             handle, path, [ent_shape, rel_shape, ent_shape, ent_shape, rel_shape, rel_shape])

@@ -32,9 +32,8 @@ from .clustering import RelationClusters, kmeans
 from .config import TrainConfig
 from .errors import DataError, NumericError
 from .graph import KnowledgeGraph
-from .models import (AdamConfig, DistMult, EmbeddingStore, ModelKind, RotatE, TransE,
-                     adam_step, init_embeddings, loss_and_grad, relation_features,
-                     score_batch)
+from .models import (DistMult, EmbeddingStore, ModelKind, RotatE, TransE, adam_step,
+                     init_embeddings, loss_and_grad, relation_features, score_batch)
 from .seeding import seed_for
 
 logger = logging.getLogger(__name__)
@@ -51,7 +50,7 @@ def model_kind(config: TrainConfig) -> ModelKind:
 
 
 def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
-                  triples: np.ndarray, adam: AdamConfig, batch_size: int,
+                  triples: np.ndarray, learning_rate: float, batch_size: int,
                   rng: np.random.Generator) -> float:
     """One shuffled mini-batch pass; returns the mean per-positive loss.
 
@@ -69,7 +68,7 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
         loss, grads = loss_and_grad(kind, store, graph, batch, rng)
         if not math.isfinite(loss):
             raise NumericError(f"non-finite loss on batch starting at {start}")
-        adam_step(store, grads, adam, project)
+        adam_step(store, grads, learning_rate, project)
         total += loss
     return total / n
 
@@ -113,12 +112,11 @@ def pretrain_kge(graph: KnowledgeGraph, kind: ModelKind, config: TrainConfig, *,
         store = init_embeddings(graph.n_entities, graph.n_relations, config.dim, kind,
                                 seed_for(seed, "init"))
 
-    adam = AdamConfig(learning_rate=config.learning_rate)
     losses: list[float] = []
     for epoch in range(epochs):
         rng = np.random.default_rng(seed_for(seed, "epoch", epoch))
         try:
-            losses.append(run_kge_epoch(kind, store, graph, triples, adam,
+            losses.append(run_kge_epoch(kind, store, graph, triples, config.learning_rate,
                                         config.batch_size, rng))
         except NumericError as exc:
             raise NumericError(f"pre-training diverged at epoch {epoch}: {exc}") from exc
@@ -280,7 +278,6 @@ def joint_train(graph: KnowledgeGraph, kind: ModelKind, mode: str, config: Train
 
     selected = np.ones(len(graph.train), dtype=bool)
     stats: list[EpisodeStats] = []
-    adam = AdamConfig(learning_rate=config.joint_learning_rate)
     active = [r for r in range(graph.n_relations) if len(graph.relation_positions(r))]
 
     for episode in range(1, config.episodes + 1):
@@ -302,8 +299,8 @@ def joint_train(graph: KnowledgeGraph, kind: ModelKind, mode: str, config: Train
                 for sub_epoch in range(config.joint_kge_epochs):
                     rng = np.random.default_rng(
                         seed_for(master, "joint-kge", episode, visit, sub_epoch))
-                    losses.append(run_kge_epoch(kind, store, graph, working, adam,
-                                                config.batch_size, rng))
+                    losses.append(run_kge_epoch(kind, store, graph, working,
+                                                config.joint_learning_rate, config.batch_size, rng))
             else:
                 logger.warning("episode %d: empty working set after relation %d", episode, r)
 
@@ -342,6 +339,7 @@ class XScoreResult:
     mask: np.ndarray            # True = kept
     pretrain_scores: np.ndarray
     dropped: int
+    losses: list[float]         # per epoch of the retraining
 
 
 def xscore_baseline(graph: KnowledgeGraph, kind: ModelKind, delta: float,
@@ -363,7 +361,7 @@ def xscore_baseline(graph: KnowledgeGraph, kind: ModelKind, delta: float,
 
     retrained = pretrain_kge(graph, kind, config, triples=graph.train[mask],
                              seed=seed_for(config.seed, "xscore-retrain"))
-    return XScoreResult(retrained.store, mask, scores, drop)
+    return XScoreResult(retrained.store, mask, scores, drop, retrained.losses)
 
 
 def write_training_curve(path, losses: list[float]) -> None:

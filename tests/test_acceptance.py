@@ -250,15 +250,26 @@ def test_criterion_6_invariance_and_reduction():
 
 
 def test_criterion_7_cli_determinism(tmp_path):
-    outputs = []
-    for name in ("a", "b"):
-        path = tmp_path / f"report_{name}.json"
-        proc = subprocess.run(
-            [sys.executable, "-m", "kgedenoise.cli", "experiment",
-             "--preset", "synthetic-n1", "--seed", "7", "--out", str(path)],
-            capture_output=True, text=True, timeout=1800)
-        assert proc.returncode == 0, proc.stderr[-2000:]
-        outputs.append(path.read_bytes())
+    # The two runs share nothing but the machine, so they run at once. Their
+    # logs go to files: an unread pipe could fill and stall a run.
+    names = ("a", "b")
+    procs = []
+    for name in names:
+        with open(tmp_path / f"log_{name}.txt", "w") as log:
+            procs.append(subprocess.Popen(
+                [sys.executable, "-m", "kgedenoise.cli", "experiment", "--preset",
+                 "synthetic-n1", "--seed", "7", "--out", str(tmp_path / f"report_{name}.json")],
+                stdout=log, stderr=subprocess.STDOUT))
+    try:
+        for proc in procs:
+            proc.wait(timeout=1800)
+    finally:
+        for proc in procs:
+            proc.kill()  # a no-op once the run has exited
+            proc.wait()
+    for name, proc in zip(names, procs):
+        assert proc.returncode == 0, (tmp_path / f"log_{name}.txt").read_text()[-2000:]
+    outputs = [(tmp_path / f"report_{name}.json").read_bytes() for name in names]
     verdict(7, outputs[0] == outputs[1],
             f"two CLI runs produced byte-identical {len(outputs[0])}-byte reports")
 

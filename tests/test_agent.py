@@ -177,7 +177,6 @@ def test_trajectory_deterministic():
     b = sample_trajectory(params, None, store, 0, triples, np.random.default_rng(7))
     assert np.array_equal(a[0].order, b[0].order)
     assert np.array_equal(a[0].actions, b[0].actions)
-    assert np.array_equal(a[0].logits, b[0].logits)
     assert np.array_equal(a[1], b[1])
 
 
@@ -195,7 +194,6 @@ def test_trajectory_length_matches_input():
     trajectory, _ = sample_trajectory(params, None, store, 0, triples,
                                       np.random.default_rng(3))
     assert len(trajectory) == 7
-    assert len(trajectory.logits) == 7
 
 
 # -- reward -------------------------------------------------------------------------------
@@ -240,7 +238,6 @@ def make_trajectory(seed=0, n=10, width=3, relation=0):
         relation=relation,
         order=np.arange(n),
         actions=rng.random(n) < 0.5,
-        logits=np.zeros(n),
         rel_feat=rng.normal(size=width),
         heads=rng.normal(size=(n, width)),
         tails=rng.normal(size=(n, width)),

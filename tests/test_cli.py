@@ -177,6 +177,9 @@ def test_train_xscore_then_evaluate_with_labels(data_dir, tmp_path):
     code = run(["train", "--data", str(noisy), "--mode", "xscore",
                 "--config", str(config_file(tmp_path, delta=0.2)), "--out", str(out)])
     assert code == 0
+    # One row per epoch of the retraining that made the saved store.
+    curve = (out / "training_curve.csv").read_text().splitlines()
+    assert curve[0] == "epoch,loss" and len(curve) == 1 + 3  # pretrain_epochs = 3
     report_path = tmp_path / "report.json"
     code = run(["evaluate", "--checkpoint", str(out / "model.ckpt"),
                 "--graph", str(noisy), "--labels", str(noisy / "noise_labels.tsv"),
@@ -230,6 +233,24 @@ def test_preset_default_config_is_fresh_default():
     second = experiments.SyntheticPreset(name="y")
     assert first.config == TrainConfig()
     assert first.config is not second.config
+
+
+@pytest.mark.parametrize("command, args", [
+    ("inject-noise", ["--rate", "0.25", "--in", "{data}", "--out", "{out}"]),
+    ("cluster", ["--checkpoint", "{ckpt}", "--data", "{data}", "--k", "2", "--out", "{out}"]),
+    ("train", ["--data", "{data}", "--mode", "plain", "--out", "{out}"]),
+    ("evaluate", ["--checkpoint", "{ckpt}", "--graph", "{data}", "--out", "{out}"]),
+    ("experiment", ["--preset", "synthetic-tiny", "--out", "{out}"]),
+], ids=["inject-noise", "cluster", "train", "evaluate", "experiment"])
+def test_negative_seed_exits_one(data_dir, tmp_path, plain_checkpoint, capsys, command, args):
+    # numpy's generators reject a negative seed; inject-noise and cluster used
+    # to end in its ValueError traceback.
+    out = tmp_path / "out"
+    code = run([command, "--seed", "-1",
+                *(arg.format(data=data_dir, ckpt=plain_checkpoint, out=out) for arg in args)])
+    err = capsys.readouterr().err
+    assert code == 1 and "usage error: argument --seed: must be >= 0, got -1" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_unknown_flag_exits_one(capsys):

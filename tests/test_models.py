@@ -15,7 +15,7 @@ from conftest import chunk_threads, make_graph, random_graph
 from kgedenoise import models, trainer
 from kgedenoise.errors import DataError, NumericError
 from kgedenoise.evaluation import link_prediction
-from kgedenoise.models import (AdamConfig, DistMult, EmbeddingStore, RotatE, SparseGrad,
+from kgedenoise.models import (DistMult, EmbeddingStore, RotatE, SparseGrad,
                                TransE, adam_step, corrupt_batch, init_embeddings,
                                load_store, loss_and_grad, save_store,
                                score, score_all_heads, score_all_tails, score_batch)
@@ -444,7 +444,7 @@ def chunked_training_run(kind, row_block):
     with mock.patch.object(models, "_ROW_BLOCK", row_block):
         for step in range(2):
             loss, grad = loss_and_grad(kind, store, graph, batch, np.random.default_rng(step))
-            adam_step(store, grad, AdamConfig(learning_rate=0.05), project)
+            adam_step(store, grad, 0.05, project)
             losses.append(loss)
             grads.append(grad)
     return losses, grads, store
@@ -481,7 +481,7 @@ def test_shared_table_batch_makes_one_accumulate_and_one_adam_pass(kind):
     assert accumulate.call_count == 1 and list(grads) == ["entities"]
     # adam_step walks the row chunks of each table it gathers exactly once.
     with mock.patch.object(models, "_row_chunks", wraps=models._row_chunks) as chunks:
-        adam_step(store, grads, AdamConfig())
+        adam_step(store, grads, 0.001)
     assert [c.args for c in chunks.call_args_list] == [(len(grads["entities"].rows),)]
 
 
@@ -594,7 +594,7 @@ def workspace_run(kind, graph, seed, steps=4, barrier=None):
         if barrier is not None:
             barrier.wait(timeout=60)
         loss, grads = loss_and_grad(kind, store, graph, batch, rng)
-        adam_step(store, grads, AdamConfig(learning_rate=0.05), project)
+        adam_step(store, grads, 0.05, project)
         losses.append(loss)
     return losses, store
 
@@ -606,9 +606,9 @@ def test_returned_gradients_outlive_later_steps(kind):
     store = init_embeddings(15, 3, 5, kind, seed=2)
     _, grads = loss_and_grad(kind, store, graph, graph.train[:12], np.random.default_rng(0))
     kept = {name: (grad.rows.copy(), bits(grad.values).copy()) for name, grad in grads.items()}
-    adam_step(store, grads, AdamConfig())
+    adam_step(store, grads, 0.001)
     _, later = loss_and_grad(kind, store, graph, graph.train[12:], np.random.default_rng(1))
-    adam_step(store, later, AdamConfig())
+    adam_step(store, later, 0.001)
     for name, (rows, values) in kept.items():
         assert np.array_equal(grads[name].rows, rows)
         assert np.array_equal(bits(grads[name].values), values)
@@ -659,11 +659,11 @@ def test_warm_rotate_step_allocates_well_below_its_contribution_buffers():
     rng = np.random.default_rng(4)
     contrib_bytes = 8 * 11 * 512 * (2 * 2 * 64 + 64)
     _, grads = loss_and_grad(kind, store, graph, graph.train[:512], rng)  # warms the workspace
-    adam_step(store, grads, AdamConfig())
+    adam_step(store, grads, 0.001)
     tracemalloc.start()
     try:
         _, grads = loss_and_grad(kind, store, graph, graph.train[512:], rng)
-        adam_step(store, grads, AdamConfig())
+        adam_step(store, grads, 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -685,11 +685,11 @@ def warm_step_peak(kind, store, graph, rng):
     """Peak traced bytes of a loss_and_grad + adam_step round, after one
     untraced round warms the workspace; also the touched rows' shape."""
     _, grads = loss_and_grad(kind, store, graph, graph.train[:512], rng)
-    adam_step(store, grads, AdamConfig())
+    adam_step(store, grads, 0.001)
     tracemalloc.start()
     try:
         _, grads = loss_and_grad(kind, store, graph, graph.train[512:], rng)
-        adam_step(store, grads, AdamConfig())
+        adam_step(store, grads, 0.001)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -1039,7 +1039,7 @@ def test_training_step_leaves_untouched_rows_bitwise_unchanged(kind):
     batch = graph.train[:3]
     _, grads = loss_and_grad(kind, store, graph, batch, np.random.default_rng(9))
     project = trainer._normalize_entity_rows if isinstance(kind, TransE) else None
-    adam_step(store, grads, AdamConfig(learning_rate=0.05), project)
+    adam_step(store, grads, 0.05, project)
     # The loss draws its negatives first, so the same seed redraws them.
     count = 1 if isinstance(kind, TransE) else kind.negatives
     touched = np.concatenate([batch, corrupt_batch(graph, batch, np.random.default_rng(9), count)])
@@ -1077,10 +1077,9 @@ def one_cell_store():
 
 def test_adam_scalar_hand_trace():
     _, store = one_cell_store()
-    config = AdamConfig(learning_rate=0.1)
     for _ in range(3):
         grads = {"entities": SparseGrad(np.array([0]), np.array([[1.0]]))}
-        adam_step(store, grads, config)
+        adam_step(store, grads, 0.1)
     expected = scalar_adam_trace([1.0, 1.0, 1.0])
     assert store.entities[0, 0] == pytest.approx(expected, rel=1e-12)
     assert store.entities[0, 0] == pytest.approx(-0.3, abs=1e-6)
@@ -1088,8 +1087,7 @@ def test_adam_scalar_hand_trace():
 
 def test_adam_first_step_is_minus_lr():
     _, store = one_cell_store()
-    adam_step(store, {"entities": SparseGrad(np.array([0]), np.array([[1.0]]))},
-              AdamConfig(learning_rate=0.1))
+    adam_step(store, {"entities": SparseGrad(np.array([0]), np.array([[1.0]]))}, 0.1)
     assert store.entities[0, 0] == pytest.approx(-0.1, abs=1e-8)
 
 
@@ -1098,7 +1096,7 @@ def test_adam_zero_gradient_fixed_point():
     store = init_embeddings(4, 2, 3, kind, seed=0)
     before = store.entities.copy()
     grads = {"entities": SparseGrad(np.arange(4), np.zeros((4, 3)))}
-    adam_step(store, grads, AdamConfig())
+    adam_step(store, grads, 0.001)
     assert np.array_equal(store.entities, before)
     assert store.step == 1
 
@@ -1108,7 +1106,7 @@ def test_adam_untouched_rows_bitwise_unchanged():
     before_ent = store.entities.copy()
     before_rel = store.relations.copy()
     grads = {"entities": SparseGrad(np.array([1, 4]), np.ones((2, 3)))}
-    adam_step(store, grads, AdamConfig(learning_rate=0.05))
+    adam_step(store, grads, 0.05)
     untouched = [0, 2, 3, 5]
     assert np.array_equal(store.entities[untouched], before_ent[untouched])
     assert np.array_equal(store.relations, before_rel)
@@ -1119,7 +1117,7 @@ def test_adam_rejects_non_finite_gradient():
     store = init_embeddings(3, 1, 2, TransE(), seed=0)
     bad = {"entities": SparseGrad(np.array([1]), np.array([[np.nan, 0.0]]))}
     with pytest.raises(NumericError, match="entities row 1"):
-        adam_step(store, bad, AdamConfig())
+        adam_step(store, bad, 0.001)
 
 
 @pytest.mark.parametrize("threads", [1, 2], ids=["1thread", "2threads"])
@@ -1136,7 +1134,7 @@ def test_adam_raises_non_finite_gradient_without_a_warning(entry, threads):
             warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NumericError) as raised:
-            adam_step(store, bad, AdamConfig())
+            adam_step(store, bad, 0.001)
     assert str(raised.value) == "non-finite gradient for entities row 17"
     before.step += 1  # the step count advances before any table is updated
     assert_same_store_bits(store, before)
@@ -1147,7 +1145,7 @@ def test_adam_reports_relation_row_of_shared_table():
     store = init_embeddings(3, 2, 2, TransE(), seed=0)
     bad = {"entities": SparseGrad(np.array([0, 4]), np.array([[0.0, 0.0], [0.0, np.nan]]))}
     with pytest.raises(NumericError, match="gradient for relations row 1$"):
-        adam_step(store, bad, AdamConfig())
+        adam_step(store, bad, 0.001)
 
 
 def test_transe_projection_leaves_relation_rows_unnormalised(tiny_graph):
@@ -1155,8 +1153,8 @@ def test_transe_projection_leaves_relation_rows_unnormalised(tiny_graph):
     store = init_embeddings(7, 2, 4, kind, seed=3)
     unprojected = store.copy()
     _, grads = loss_and_grad(kind, store, tiny_graph, tiny_graph.train, np.random.default_rng(0))
-    adam_step(store, grads, AdamConfig(learning_rate=0.01), trainer._normalize_entity_rows)
-    adam_step(unprojected, grads, AdamConfig(learning_rate=0.01))
+    adam_step(store, grads, 0.01, trainer._normalize_entity_rows)
+    adam_step(unprojected, grads, 0.01)
     touched = split_grads(store, grads)
     ent_rows, rel_rows = touched["entities"].rows, touched["relations"].rows
     assert np.allclose(np.linalg.norm(store.entities[ent_rows], axis=1), 1.0)
@@ -1172,7 +1170,7 @@ def test_adam_accepts_finite_gradient_whose_sum_overflows():
     before = store.entities.copy()
     huge = {"entities": SparseGrad(np.array([0, 2]), np.array([[1e308, 1.0], [1e308, 1.0]]))}
     with np.errstate(over="ignore"):  # the sum and g*g overflow by design
-        adam_step(store, huge, AdamConfig())
+        adam_step(store, huge, 0.001)
     assert np.isfinite(store.entities).all()
     assert (store.entities[[0, 2], 1] != before[[0, 2], 1]).all()
 
@@ -1192,8 +1190,7 @@ def test_adam_reports_first_bad_gradient_row_across_chunks(row_block, threads):
     with mock.patch.object(models, "_ROW_BLOCK", row_block), chunk_threads(threads), \
             np.errstate(over="ignore", invalid="ignore"), \
             pytest.raises(NumericError, match="entities row 9$"):
-        adam_step(store, {"entities": SparseGrad(np.arange(20), values)},
-                  AdamConfig(learning_rate=1e300))
+        adam_step(store, {"entities": SparseGrad(np.arange(20), values)}, 1e300)
     assert store.step == 1 and not store.m_ent.any() and not store.v_ent.any()
     assert store.entities[2, 0] == 1.5e308
 
@@ -1205,7 +1202,7 @@ def assert_same_store_bits(store, expected):
             assert np.array_equal(bits(matrix), bits(expected_matrix))
 
 
-def eager_check_adam_step(store, grads, config):
+def eager_check_adam_step(store, grads, learning_rate):
     """``adam_step`` with the gradient scan before each chunk's update: the
     oracle for the scan that runs only after a non-finite update.
 
@@ -1215,8 +1212,8 @@ def eager_check_adam_step(store, grads, config):
     message, is raised before the table is stored.
     """
     store.step += 1
-    bias1 = 1.0 - config.beta1 ** store.step
-    bias2 = 1.0 - config.beta2 ** store.step
+    bias1 = 1.0 - 0.9 ** store.step
+    bias2 = 1.0 - 0.999 ** store.step
     for name, params, m, v in store.tables:
         grad = grads.get(name)
         if grad is None or len(grad.rows) == 0:
@@ -1229,17 +1226,17 @@ def eager_check_adam_step(store, grads, config):
                 grad_bad.append(f"non-finite gradient for {bad}")
                 continue
             m_chunk, v_chunk, p_chunk = m[ids], v[ids], params[ids]
-            m_chunk *= config.beta1
-            m_chunk += (1.0 - config.beta1) * g
-            v_chunk *= config.beta2
+            m_chunk *= 0.9
+            m_chunk += (1.0 - 0.9) * g
+            v_chunk *= 0.999
             g_sq = g * g
-            g_sq *= 1.0 - config.beta2
+            g_sq *= 1.0 - 0.999
             v_chunk += g_sq
             delta = m_chunk / bias1
-            delta *= config.learning_rate
+            delta *= learning_rate
             denom = v_chunk / bias2
             np.sqrt(denom, out=denom)
-            denom += config.epsilon
+            denom += 1e-8
             delta /= denom
             p_chunk -= delta
             bad = models._non_finite_row(store, name, ids, p_chunk)
@@ -1271,7 +1268,7 @@ def test_late_gradient_scan_matches_the_eager_check(data):
             hit = rng.random(values.shape) < data.draw(st.sampled_from([0.0, 0.02, 0.2]))
             values[hit] = special
         grads[name] = SparseGrad(rows, values)
-    config = AdamConfig(learning_rate=data.draw(st.sampled_from([1e-3, 1e300])))
+    learning_rate = data.draw(st.sampled_from([1e-3, 1e300]))
     row_block = data.draw(st.sampled_from([1, 7, 1000]))
     threads = data.draw(st.sampled_from([1, 2]))
     expected = store.copy()
@@ -1281,7 +1278,7 @@ def test_late_gradient_scan_matches_the_eager_check(data):
         for target, step in ((expected, eager_check_adam_step), (store, adam_step)):
             try:
                 with chunk_threads(threads):
-                    step(target, grads, config)
+                    step(target, grads, learning_rate)
                 outcomes.append(None)
             except NumericError as exc:
                 outcomes.append(str(exc))
@@ -1306,7 +1303,7 @@ def test_adam_refuses_malformed_gradients(rows, values):
     expected = store.copy()
     grads = {"entities": SparseGrad(np.array(rows), values)}
     with pytest.raises(ValueError, match="entities gradient"):
-        adam_step(store, grads, AdamConfig())
+        adam_step(store, grads, 0.001)
     assert store.step == 5
     assert_same_store_bits(store, expected)
 
@@ -1319,7 +1316,7 @@ def test_adam_refuses_a_malformed_table_before_updating_any():
     grads = {"entities": SparseGrad(np.array([0, 2]), np.ones((2, 4))),
              "relations": SparseGrad(np.array([1, 1]), np.ones((2, 2)))}
     with pytest.raises(ValueError, match="relations gradient rows"):
-        adam_step(store, grads, AdamConfig())
+        adam_step(store, grads, 0.001)
     assert_same_store_bits(store, expected)
 
 
@@ -1330,7 +1327,7 @@ def test_training_step_deterministic(tiny_graph):
         for i in range(5):
             _, grads = loss_and_grad(kind, store, tiny_graph, tiny_graph.train,
                                      np.random.default_rng(i))
-            adam_step(store, grads, AdamConfig(learning_rate=0.01))
+            adam_step(store, grads, 0.01)
         return store
 
     a, b = run(), run()
@@ -1345,7 +1342,7 @@ def test_rotation_modulus_stays_unit_after_updates():
     store = init_embeddings(6, 2, 4, kind, seed=4)
     for i in range(20):
         _, grads = loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(i))
-        adam_step(store, grads, AdamConfig(learning_rate=0.05))
+        adam_step(store, grads, 0.05)
     modulus = np.hypot(np.cos(store.relations), np.sin(store.relations))
     assert np.abs(modulus - 1.0).max() <= 4 * np.finfo(np.float64).eps
 
@@ -1356,7 +1353,7 @@ def test_all_entries_finite_after_updates(tiny_graph):
     for i in range(10):
         _, grads = loss_and_grad(kind, store, tiny_graph, tiny_graph.train,
                                  np.random.default_rng(i))
-        adam_step(store, grads, AdamConfig(learning_rate=0.1))
+        adam_step(store, grads, 0.1)
     assert np.isfinite(store.entities).all() and np.isfinite(store.relations).all()
 
 

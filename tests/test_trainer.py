@@ -10,7 +10,7 @@ from kgedenoise.agent import PolicyParams, Trajectory, state_dim_for
 from kgedenoise.config import TrainConfig
 from kgedenoise.errors import DataError
 from kgedenoise.graph import KnowledgeGraph, load_flags, write_flags
-from kgedenoise.models import AdamConfig, TransE, init_embeddings
+from kgedenoise.models import TransE, init_embeddings
 from kgedenoise.noise import inject_noise
 from kgedenoise.seeding import seed_for
 from kgedenoise.trainer import (RewardBaselines, joint_train, model_kind,
@@ -113,7 +113,7 @@ def test_empty_train_set_rejected():
     config = small_config()
     with pytest.raises(DataError):
         run_kge_epoch(model_kind(config), init_embeddings(11, 1, 4, TransE(), 0), graph,
-                      np.zeros((0, 3), dtype=np.int64), AdamConfig(), 4,
+                      np.zeros((0, 3), dtype=np.int64), 0.001, 4,
                       np.random.default_rng(0))
 
 
@@ -193,7 +193,6 @@ def select_all_trajectory(params, clusters, store, relation, triples, rng):
         relation=relation,
         order=order,
         actions=np.ones(n, dtype=bool),
-        logits=np.zeros(n),
         rel_feat=np.zeros(width),
         heads=store.entities[triples[order, 0]],
         tails=store.entities[triples[order, 2]],
@@ -213,12 +212,12 @@ def test_saturated_policy_reduces_to_plain_training(monkeypatch):
     # replay: pre-train, then run the same epochs on the full noisy set
     master = config.seed
     replay = pretrain_kge(graph, kind, config, seed=seed_for(master, "pretrain")).store
-    adam = AdamConfig(learning_rate=config.joint_learning_rate)
     for episode in (1, 2):
         order_rng = np.random.default_rng(seed_for(master, "episode-order", episode))
         for visit, _ in enumerate(order_rng.permutation([0])):
             rng = np.random.default_rng(seed_for(master, "joint-kge", episode, visit, 0))
-            run_kge_epoch(kind, replay, graph, graph.train, adam, config.batch_size, rng)
+            run_kge_epoch(kind, replay, graph, graph.train, config.joint_learning_rate,
+                          config.batch_size, rng)
     assert np.array_equal(result.store.entities, replay.entities)
     assert np.array_equal(result.store.relations, replay.relations)
 
@@ -445,6 +444,6 @@ def test_synthetic_scale_epoch_never_builds_the_pool(model):
     store = init_embeddings(200, 20, preset.dim, kind, seed=0)
     with mock.patch.object(models, "_helpers", None), mock.patch.object(models, "_pool", None), \
             mock.patch.object(models, "ThreadPoolExecutor", side_effect=AssertionError):
-        run_kge_epoch(kind, store, graph, graph.train, AdamConfig(learning_rate=0.01),
+        run_kge_epoch(kind, store, graph, graph.train, 0.01,
                       preset.batch_size, np.random.default_rng(0))
         assert models._helpers is None
