@@ -18,7 +18,7 @@ import numpy as np
 
 from . import agent as agent_mod
 from . import clustering, experiments, noise, trainer
-from .config import TrainConfig, parse_config, write_config
+from .config import MODELS, MODES, TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
 from .graph import load_flags, load_graph_dir, write_flags, write_triples
@@ -203,8 +203,8 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("train", help="train a model (plain, strl, mtrl or xscore)")
     p.add_argument("--data", required=True)
-    p.add_argument("--model", choices=("transe", "distmult", "rotate"))
-    p.add_argument("--mode", choices=("plain", "strl", "mtrl", "xscore"))
+    p.add_argument("--model", choices=MODELS)
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--clusters", help="precomputed clusters.tsv for mtrl")
     p.add_argument("--seed", type=non_negative_int)

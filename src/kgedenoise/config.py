@@ -19,20 +19,25 @@ from .graph import text_lines
 
 # Smallest accepted value per field: a count of 0 turns its stage (or the
 # relation cap) off, an agent learning rate of 0 freezes the agents, and a
-# margin, loss or penalty coefficient of 0 drops its term.
+# margin, loss or penalty coefficient of 0 drops its term. numpy's generators
+# take no negative seed.
 _MINIMUM = {"dim": 1, "batch_size": 1, "k_negatives": 1, "clusters_k": 1,
             "pretrain_epochs": 0, "episodes": 0, "agent_warmup_episodes": 0,
-            "joint_kge_epochs": 0, "agent_mimic_steps": 0, "relation_cap": 0,
+            "joint_kge_epochs": 0, "agent_mimic_steps": 0, "relation_cap": 0, "seed": 0,
             "agent_learning_rate": 0.0, "margin": 0.0, "eta": 0.0, "l2_coeff": 0.0,
             "alpha": 0.0, "lambda1": 0.0, "lambda2": 0.0, "agent_mimic_sharpness": 0.0}
 _EMBEDDING_LEARNING_RATES = ("learning_rate", "joint_learning_rate")
 _FRACTIONS = ("delta", "agent_mimic_quantile")
 
+# The one list of each: the CLI's --model and --mode choices read them too.
+MODELS = ("transe", "distmult", "rotate")
+MODES = ("plain", "strl", "mtrl", "xscore")
+
 
 @dataclass
 class TrainConfig:
     # model
-    model: str = "transe"            # transe | distmult | rotate
+    model: str = "transe"            # one of MODELS
     dim: int = 100
     norm: str = "l1"                 # TransE norm
     margin: float = 1.0              # TransE margin (gamma)
@@ -45,7 +50,7 @@ class TrainConfig:
     joint_learning_rate: float = 0.0005  # extended models (joint loop)
     pretrain_epochs: int = 100       # hard-capped at 100
     # agents
-    mode: str = "plain"              # plain | strl | mtrl | xscore
+    mode: str = "plain"              # one of MODES
     episodes: int = 15               # M
     agent_warmup_episodes: int = 5
     agent_learning_rate: float = 0.01
@@ -65,9 +70,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model not in ("transe", "distmult", "rotate"):
+        if self.model not in MODELS:
             raise DataError(f"unknown model {self.model!r}")
-        if self.mode not in ("plain", "strl", "mtrl", "xscore"):
+        if self.mode not in MODES:
             raise DataError(f"unknown mode {self.mode!r}")
         if self.norm not in ("l1", "l2"):
             raise DataError(f"norm must be l1 or l2, got {self.norm!r}")

@@ -174,10 +174,14 @@ def _best_threshold(scores: np.ndarray, labels: np.ndarray) -> float:
 
 @dataclass
 class ClassificationResult:
+    """Test accuracy over all pairs, each judged by its relation's threshold.
+
+    ``thresholds`` holds one per relation present in validation; other
+    relations use ``global_threshold``. Only the accuracy enters reports.
+    """
     accuracy: float
     thresholds: dict[int, float]
     global_threshold: float
-    per_relation: dict[int, float] = field(default_factory=dict)
 
 
 def triple_classification(kind: ModelKind, store: EmbeddingStore,
@@ -203,14 +207,8 @@ def triple_classification(kind: ModelKind, store: EmbeddingStore,
 
     per_query = np.array([thresholds.get(r, global_threshold) for r in test_triples[:, 1]])
     correct = (test_scores >= per_query) == (test_labels > 0)
-    per_relation = {
-        r: float(correct[rows].mean())
-        for r, rows in enumerate(relation_groups(test_triples[:, 1], store.n_relations))
-        if len(rows)
-    }
     return ClassificationResult(
         accuracy=float(correct.mean()),
         thresholds=thresholds,
         global_threshold=global_threshold,
-        per_relation=per_relation,
     )

@@ -14,6 +14,7 @@ import json
 import logging
 from dataclasses import dataclass, field
 
+from . import agent as agent_mod
 from .atomic import atomic_write
 from .config import TrainConfig
 from .errors import UsageError
@@ -95,18 +96,18 @@ def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, mask) -> dict:
     return out
 
 
-def _plain_and_agents(graph: KnowledgeGraph, kind, config: TrainConfig, mode: str,
+def _plain_and_agents(graph: KnowledgeGraph, kind, config: TrainConfig,
                       negatives) -> tuple[dict, JointResult | None]:
-    """Per-model reports of plain training and, for strl/mtrl, the selection
-    agents; and the joint result (None in plain mode)."""
+    """Per-model reports of plain training and, when ``config.mode`` is strl
+    or mtrl, the selection agents; and the joint result (None otherwise)."""
     logger.info("seed %d: plain baseline", config.seed)
     plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(config.seed, "plain")))
     models = {"plain": evaluate_store(kind, plain.store, graph, negatives, None)}
-    if mode not in ("strl", "mtrl"):
+    if config.mode not in agent_mod.MODES:
         return models, None
-    logger.info("seed %d: selection agents (%s)", config.seed, mode)
-    joint = joint_train(graph, kind, mode, config.replace(seed=seed_for(config.seed, "joint")))
-    models[mode] = evaluate_store(kind, joint.store, graph, negatives, joint.mask)
+    logger.info("seed %d: selection agents (%s)", config.seed, config.mode)
+    joint = joint_train(graph, kind, config.mode, config.replace(seed=seed_for(config.seed, "joint")))
+    models[config.mode] = evaluate_store(kind, joint.store, graph, negatives, joint.mask)
     return models, joint
 
 
@@ -142,7 +143,7 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
         },
     }
 
-    report["models"], joint = _plain_and_agents(graph, kind, config, preset.mode, negatives)
+    report["models"], joint = _plain_and_agents(graph, kind, config, negatives)
 
     logger.info("seed %d: score-filter baseline", seed)
     xscore_cfg = config.replace(seed=seed_for(seed, "xscore"))
@@ -160,7 +161,7 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
         "noise_f1": noise_detection_f1(matched, labels),
     }
 
-    agents = report["models"][preset.mode]
+    agents = report["models"][config.mode]
     report["comparisons"] = {
         "agent_mrr_minus_plain": agents["mrr"] - report["models"]["plain"]["mrr"],
         "agent_f1_minus_xscore_matched":
@@ -169,17 +170,17 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
     return report
 
 
-def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float, mode: str) -> dict:
+def run_file_experiment(data_dir, config: TrainConfig, noise_rate: float) -> dict:
     """Noise-inject an on-disk benchmark and run plain + selected variants.
 
-    ``mode`` is ``plain``, ``strl`` or ``mtrl``; any other, ``xscore``
-    included, raises ``UsageError`` before anything is loaded."""
-    if mode not in ("plain", "strl", "mtrl"):
-        raise UsageError(f"file experiments run modes plain, strl or mtrl, not {mode!r}")
+    ``config.mode`` picks the variant: ``plain``, ``strl`` or ``mtrl``;
+    ``xscore`` raises ``UsageError`` before anything is loaded."""
+    if config.mode == "xscore":
+        raise UsageError(f"file experiments run modes plain, strl or mtrl, not {config.mode!r}")
     clean = load_graph_dir(data_dir)
     graph = inject_noise(clean, noise_rate, seed_for(config.seed, "noise"))
     negatives = make_classification_negatives(graph, seed_for(config.seed, "class-negatives"))
-    models, _ = _plain_and_agents(graph, model_kind(config), config, mode, negatives)
+    models, _ = _plain_and_agents(graph, model_kind(config), config, negatives)
     return {"data_dir": str(data_dir), "noise_rate": noise_rate, "models": models}
 
 

@@ -260,7 +260,7 @@ def joint_train(graph: KnowledgeGraph, kind: ModelKind, mode: str, config: Train
     for every training triple (triples a capped relation never re-drew
     keep their most recent judgment; select-all before any episode).
     """
-    if mode not in ("strl", "mtrl"):
+    if mode not in agent_mod.MODES:
         raise DataError(f"joint training mode must be strl or mtrl, got {mode!r}")
     master = config.seed
 

@@ -283,8 +283,8 @@ FB15K237 = os.environ.get("KGEDENOISE_FB15K237_DIR")
 @pytest.mark.skipif(not FB15K237, reason="set KGEDENOISE_FB15K237_DIR to run the "
                                          "hours-scale FB15k-237 spot check")
 def test_criterion_8_full_scale_spot_check():
-    config = experiments.FULLSCALE_CONFIG.replace(seed=7)
-    report = experiments.run_file_experiment(FB15K237, config, noise_rate=0.1, mode="mtrl")
+    config = experiments.FULLSCALE_CONFIG.replace(seed=7, mode="mtrl")
+    report = experiments.run_file_experiment(FB15K237, config, noise_rate=0.1)
     plain_mrr = report["models"]["plain"]["mrr"]
     mtrl_mrr = report["models"]["mtrl"]["mrr"]
     within = abs(plain_mrr - 0.221) <= 0.02

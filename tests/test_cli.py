@@ -365,6 +365,7 @@ def test_output_onto_an_existing_directory_exits_two(data_dir, tmp_path, plain_c
     ("lambda2", "-inf"), ("agent_mimic_sharpness", -1.0), ("agent_mimic_sharpness", "nan"),
     ("agent_baseline_decay", 1.5), ("agent_baseline_decay", "nan"),
     ("agent_learning_rate", "nan"), ("learning_rate", "inf"), ("delta", "nan"),
+    ("seed", -1),
 ])
 def test_out_of_range_config_exits_two(data_dir, tmp_path, capsys, key, value):
     code = run(["train", "--data", str(data_dir), "--mode", "plain",
@@ -374,6 +375,32 @@ def test_out_of_range_config_exits_two(data_dir, tmp_path, capsys, key, value):
     assert code == 2
     assert f"data error: {key} must be" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("model", "transr"), ("mode", "mtlr")])
+def test_unknown_config_name_exits_two(data_dir, tmp_path, capsys, key, value):
+    # config.MODELS and config.MODES are the only lists of names.
+    code = run(["train", "--data", str(data_dir),
+                "--config", str(config_file(tmp_path, **{key: value})),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: unknown {key} '{value}'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag, value, choices", [
+    ("--model", "transr", "transe, distmult, rotate)"),
+    ("--mode", "mtlr", "plain, strl, mtrl, xscore)"),
+], ids=["model", "mode"])
+def test_unknown_flag_choice_exits_one(data_dir, tmp_path, capsys, flag, value, choices):
+    code = run(["train", "--data", str(data_dir), flag, value, "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert f"usage error: argument {flag}: invalid choice: '{value}' (choose from " in err
+    # Python releases differ in whether argparse quotes the choices.
+    assert err.split("choose from ")[1].replace("'", "").startswith(choices)
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_evaluate_forged_checkpoint_exits_two(data_dir, tmp_path, capsys):

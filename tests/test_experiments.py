@@ -25,8 +25,8 @@ def tiny_dir(tmp_path_factory):
 
 @pytest.mark.parametrize("mode", ["plain", "strl", "mtrl"])
 def test_file_experiment_equals_the_stages_run_by_hand(tiny_dir, mode):
-    config = PRESETS["synthetic-tiny"].config.replace(seed=5)
-    report = run_file_experiment(tiny_dir, config, noise_rate=0.2, mode=mode)
+    config = PRESETS["synthetic-tiny"].config.replace(seed=5, mode=mode)
+    report = run_file_experiment(tiny_dir, config, noise_rate=0.2)
 
     graph = inject_noise(load_graph_dir(tiny_dir), 0.2, seed_for(5, "noise"))
     negatives = make_classification_negatives(graph, seed_for(5, "class-negatives"))
@@ -42,9 +42,9 @@ def test_file_experiment_equals_the_stages_run_by_hand(tiny_dir, mode):
     assert graph.train_labels.any()  # the noise-detection metrics are in the compared reports
 
 
-@pytest.mark.parametrize("mode", ["xscore", "mtlr"])
+@pytest.mark.parametrize("mode", ["xscore"])
 def test_file_experiment_rejects_modes_it_cannot_run(tiny_dir, mode):
     # Only plain, strl and mtrl have a file-experiment path.
-    config = PRESETS["synthetic-tiny"].config.replace(seed=5)
+    config = PRESETS["synthetic-tiny"].config.replace(seed=5, mode=mode)
     with pytest.raises(UsageError, match=f"plain, strl or mtrl, not '{mode}'"):
-        run_file_experiment(tiny_dir, config, noise_rate=0.2, mode=mode)
+        run_file_experiment(tiny_dir, config, noise_rate=0.2)
