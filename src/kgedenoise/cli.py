@@ -21,7 +21,7 @@ from . import clustering, experiments, noise, trainer
 from .config import MODELS, MODES, TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
-from .graph import load_flags, load_graph_dir, write_flags, write_triples
+from .graph import load_flags, load_graph_dir, relation_groups, write_flags, write_triples
 from .models import load_store, relation_features, save_store, score_batch, set_max_threads
 from .noise import make_classification_negatives
 from .seeding import seed_for
@@ -141,11 +141,19 @@ def cmd_evaluate(args) -> int:
     lp = link_prediction(kind, store, graph)
     vt, vl, tt, tl = make_classification_negatives(graph, seed_for(args.seed, "class-negatives"))
     cls = triple_classification(kind, store, vt, vl, tt, tl)
+    reciprocal = 1.0 / lp.ranks
+    query_relations = np.repeat(graph.test[:, 1], 2)  # head then tail query per triple
     report = {
         "mrr": lp.mrr,
         "hits": {str(n): v for n, v in sorted(lp.hits.items())},
         "classification_accuracy": cls.accuracy,
-        "per_relation": {str(r): stats for r, stats in lp.per_relation.items()},
+        "per_relation": {
+            str(r): {"mrr": float(reciprocal[rows].mean()),
+                     "hits10": float((lp.ranks[rows] <= 10).mean()),
+                     "queries": float(len(rows))}
+            for r, rows in enumerate(relation_groups(query_relations, graph.n_relations))
+            if len(rows)
+        },
     }
 
     if args.labels:

@@ -1,7 +1,8 @@
 """Flat key-value training configuration.
 
 Config files hold one ``key = value`` pair per line; ``#`` starts a
-comment. Unknown keys are rejected so typos fail loudly. The effective
+comment. Unknown keys are rejected so typos fail loudly, and so is a key
+set on two lines. The effective
 configuration (defaults merged with file and CLI overrides) is echoed
 into every output directory for reproducibility; environment variables
 are never consulted.
@@ -119,6 +120,8 @@ def parse_config(path) -> TrainConfig:
         key, raw = (part.strip() for part in text.split("=", 1))
         if key not in _FIELD_TYPES:
             raise DataError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in values:
+            raise DataError(f"{path}:{lineno}: config key {key!r} is set twice")
         try:
             values[key] = _coerce(key, raw)
         except ValueError as exc:

@@ -6,6 +6,9 @@ positive (train + valid + test, other than the query answer itself) are
 removed, and the true entity's rank counts ties pessimistically, i.e.
 rank = 1 + #strictly-better + #equal-scored others. A constant scorer
 therefore ranks every query at the size of its filtered candidate set.
+``filtered_rank`` counts it as the entities scoring at least the answer's
+score minus the known entities other than the answer that do, which needs
+the known entities distinct; a NaN answer score ranks 0.
 
 A query's known entities are one ``searchsorted`` range of a sorted code
 array (``KnowledgeGraph.completions``): the known tails of (h, r) in the
@@ -18,7 +21,7 @@ fixed order so reports are byte-reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -100,19 +103,17 @@ class LinkPredictionResult:
     mrr: float
     hits: dict[int, float]
     ranks: np.ndarray            # 2 * |test| filtered ranks (head then tail query)
-    per_relation: dict[int, dict[str, float]] = field(default_factory=dict)
 
 
 def filtered_rank(scores: np.ndarray, true_entity: int, known_entities) -> int:
-    """Pessimistic filtered rank of ``true_entity`` within ``scores``."""
-    valid = np.ones(len(scores), dtype=bool)
-    valid[known_entities] = False
-    valid[true_entity] = True
-    pool = scores[valid]
+    """Pessimistic filtered rank of ``true_entity`` within ``scores``.
+
+    ``known_entities`` must be distinct; it may hold ``true_entity``.
+    """
     s_true = scores[true_entity]
-    greater = int(np.count_nonzero(pool > s_true))
-    equal = int(np.count_nonzero(pool == s_true)) - 1  # drop the true entity itself
-    return 1 + greater + equal
+    known = np.asarray(known_entities, dtype=np.int64)
+    filtered = scores[known[known != true_entity]]
+    return int(np.count_nonzero(scores >= s_true) - np.count_nonzero(filtered >= s_true))
 
 
 def link_prediction(kind: ModelKind, store: EmbeddingStore,
@@ -130,22 +131,10 @@ def link_prediction(kind: ModelKind, store: EmbeddingStore,
         ranks.append(filtered_rank(tail_scores, t, graph.completions(graph.positive_index, h, r)))
 
     ranks = np.asarray(ranks, dtype=np.int64)
-    reciprocal = 1.0 / ranks
-    query_relations = np.repeat(graph.test[:, 1], 2)
-    per_relation = {
-        r: {
-            "mrr": float(reciprocal[rows].mean()),
-            "hits10": float((ranks[rows] <= 10).mean()),
-            "queries": float(len(rows)),
-        }
-        for r, rows in enumerate(relation_groups(query_relations, graph.n_relations))
-        if len(rows)
-    }
     return LinkPredictionResult(
-        mrr=float(reciprocal.mean()),
+        mrr=float((1.0 / ranks).mean()),
         hits={n: float((ranks <= n).mean()) for n in HITS_AT},
         ranks=ranks,
-        per_relation=per_relation,
     )
 
 

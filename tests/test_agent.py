@@ -81,13 +81,18 @@ def test_running_means_match_batch_mean_recompute():
                                              np.random.default_rng(2))
     if len(selected) == 0:
         pytest.skip("nothing selected under this seed")
+    assert selected.tolist() == sorted(trajectory.order[trajectory.actions].tolist())
+    # step i sees the means of the head and tail rows selected at steps 0..i-1,
+    # recomputed from the store; zeros until the first selection
     mean_h, mean_t = trajectory.prior_means()
-    # final running mean (after the last action) equals the batch mean of selections
-    chosen = trajectory.order[trajectory.actions]
-    expect_h = store.entities[triples[np.sort(chosen), 0]].mean(axis=0)
-    sel_steps = np.flatnonzero(trajectory.actions)
-    heads = trajectory.heads[trajectory.actions]
-    np.testing.assert_allclose(heads.mean(axis=0), expect_h, rtol=1e-12)
+    visited = triples[trajectory.order]
+    width = store.entities.shape[1]
+    for step in range(len(trajectory)):
+        earlier = visited[:step][trajectory.actions[:step]]
+        for column, means in ((0, mean_h), (2, mean_t)):
+            expect = (store.entities[earlier[:, column]].mean(axis=0) if len(earlier)
+                      else np.zeros(width))
+            np.testing.assert_allclose(means[step], expect, rtol=1e-12, atol=1e-15)
 
 
 # -- policy -------------------------------------------------------------------------------

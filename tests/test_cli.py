@@ -8,8 +8,9 @@ from kgedenoise import experiments, models
 from kgedenoise.cli import run
 from kgedenoise.config import TrainConfig, format_config, parse_config, write_config
 from kgedenoise.errors import DataError
-from kgedenoise.graph import write_triples
-from kgedenoise.models import TransE, init_embeddings, save_store
+from kgedenoise.evaluation import link_prediction
+from kgedenoise.graph import load_graph_dir, write_triples
+from kgedenoise.models import TransE, init_embeddings, load_store, save_store
 
 
 @pytest.fixture
@@ -90,6 +91,26 @@ def test_evaluate_untrained_checkpoint_finite(data_dir, tmp_path):
     report = json.loads(report_path.read_text())
     assert np.isfinite(report["mrr"])
     assert np.isfinite(report["classification_accuracy"])
+
+
+def test_per_relation_matches_a_recomputation_from_ranks(data_dir, tmp_path, plain_checkpoint):
+    report_path = tmp_path / "report.json"
+    code = run(["evaluate", "--checkpoint", str(plain_checkpoint), "--graph", str(data_dir),
+                "--out", str(report_path)])
+    assert code == 0
+    report = json.loads(report_path.read_text())
+    graph = load_graph_dir(data_dir)
+    store = load_store(plain_checkpoint)
+    ranks = link_prediction(store.kind, store, graph).ranks
+    # oracle: gather each relation's (head, tail) ranks in test order
+    by_relation = {}
+    for i, r in enumerate(graph.test[:, 1].tolist()):
+        by_relation.setdefault(r, []).extend(ranks[2 * i:2 * i + 2].tolist())
+    expected = {str(r): {"mrr": float((1.0 / np.asarray(rs)).mean()),
+                         "hits10": float((np.asarray(rs) <= 10).mean()),
+                         "queries": float(len(rs))}
+                for r, rs in sorted(by_relation.items())}
+    assert report["per_relation"] == expected
 
 
 @pytest.mark.parametrize("n_entities, n_relations", [(4, 2), (20, 2), (8, 3)],
@@ -386,6 +407,18 @@ def test_unknown_config_name_exits_two(data_dir, tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert code == 2
     assert f"data error: unknown {key} '{value}'" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_repeated_config_key_exits_two(data_dir, tmp_path, capsys):
+    # The second line used to win silently.
+    path = config_file(tmp_path)
+    path.write_text(path.read_text() + "dim = 6\n")
+    code = run(["train", "--data", str(data_dir), "--mode", "plain", "--config", str(path),
+                "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"data error: {path}:11: config key 'dim' is set twice" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
