@@ -37,11 +37,19 @@ of a row-major contribution buffer per table; RotatE takes the trig of the
 relation table once per call. TransE scores a chunk's positives and
 negatives as one (2, rows, d) block and writes 3n contribution rows for
 its 5n ids (g_pos, g_neg and g_pos - g_neg), which the ids read through
-signed references. ``_accumulate`` sums a buffer's rows per touched row
-in one sorted CSR pass, in one call for a small gradient and else in
-ranges of touched rows that each zero-fill their own rows of the sums;
-DistMult's L2 term gathers and squares the touched rows in row chunks;
-``adam_step`` gathers, updates and checks each table's rows chunk by
+signed references. RotatE reads its (|E|, 2d) entity table as (2|E|, d)
+half rows, entity e's real half at row 2e and its imaginary half at
+2e + 1, so each half is gathered and written as contiguous rows: its ids
+hp, tp, hn and tn become the half rows [2e..., 2e + 1...], and half-row id
+i reads contribution row i, (gh_re, gh_im) for a head and (da, db) with
+sign -1.0 for a tail. Their (2k, d) sums, pair after pair, are the (k, 2d)
+rows of the entity gradient. Paired, the ids keep ``_accumulate``'s 16-bit
+radix sort up to |E| = 32,768 (FB15k-237 has 14,541), and beyond it are
+sorted on 32 bits by comparison. ``_accumulate`` sums a buffer's rows per
+touched row in one sorted CSR pass, in one call for a small gradient and
+else in ranges of touched rows that each zero-fill their own rows of the
+sums; DistMult's L2 term gathers and squares the touched rows in row
+chunks; ``adam_step`` gathers, updates and checks each table's rows chunk by
 chunk and scatters them back in the same chunks. ``score_batch`` scores
 in the same row chunks.
 
@@ -664,6 +672,23 @@ def _rotate_trig(store: EmbeddingStore):
     return np.cos(store.relations), np.sin(store.relations)
 
 
+_HALVES = np.array([[0], [1]])
+
+
+def _half_rows(ids: np.ndarray) -> np.ndarray:
+    """Rows of entity ``ids`` in the (2|E|, d) half-row view of RotatE's
+    entity table: real halves 2e over imaginary halves 2e + 1, shape (2, n)."""
+    return 2 * ids + _HALVES
+
+
+@functools.lru_cache(maxsize=8)
+def _rotate_refs(n_pos: int, n_neg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Signed references of a RotatE batch: half-row id i reads contribution
+    row i, as + for the heads (hp, hn) and - for the tails (tp, tn)."""
+    signs = np.repeat([1.0, -1.0, 1.0, -1.0], [n_pos, n_pos, n_neg, n_neg])
+    return np.arange(2 * len(signs)), np.tile(signs, 2)
+
+
 @dataclass(frozen=True)
 class RotatE(ModelKind):
     margin: float = 5.0
@@ -687,14 +712,15 @@ class RotatE(ModelKind):
     def _residual(self, store: EmbeddingStore, trig, h: np.ndarray, r: np.ndarray, t: np.ndarray):
         """Per-dimension residual (a, b) of h o r - t and its modulus.
 
-        ``h``, ``r`` and ``t`` are index arrays. ``trig`` is
+        ``r`` is an index array; ``h`` and ``t`` are (2, n) half-row ids
+        (``_half_rows``), so one ``take`` on the (2|E|, d) view of the entity
+        table gathers both halves of each as contiguous rows. ``trig`` is
         ``score_context(store)``; its rows are gathered, so the trig is taken
         once per relation rather than once per triple.
         """
-        d = store.dim
-        ent = store.entities
-        h_re, h_im = ent[h, :d], ent[h, d:]
-        t_re, t_im = ent[t, :d], ent[t, d:]
+        halves = store.entities.reshape(-1, store.dim)
+        h_re, h_im = halves.take(h, 0)
+        t_re, t_im = halves.take(t, 0)
         cos, sin = trig[0].take(r, 0), trig[1].take(r, 0)
         # a = h_re cos - h_im sin - t_re, b = h_re sin + h_im cos - t_im and
         # sqrt(a a + b b), evaluated in that order, reusing the gathered halves
@@ -712,7 +738,9 @@ class RotatE(ModelKind):
         return a, b, modulus, cos, sin, t_re, t_im
 
     def score_rows(self, store, context, h, r, t):
-        return -self._residual(store, context, h, r, t)[2].sum(axis=1)
+        """-||h o r - t||_L1 of entity ids ``h``, ``t`` and relation ids ``r``,
+        their entity rows gathered as half rows."""
+        return -self._residual(store, context, _half_rows(h), r, _half_rows(t))[2].sum(axis=1)
 
     def loss_grad(self, store, positives, negatives):
         k = self.negatives
@@ -720,16 +748,24 @@ class RotatE(ModelKind):
         trig = self.score_context(store)
         d = store.dim
         n_pos, n_neg = len(positives), len(negatives)
-        # Rows hp, tp, hn, tn of the entity contributions and rp, rn of the phase ones.
-        ent_contrib, rel_contrib = _scratch((2 * (n_pos + n_neg), 2 * d), (n_pos + n_neg, d))
+        n = n_pos + n_neg
+        # Half rows of the ids hp, tp, hn, tn, real over imaginary. Entity
+        # contribution row i belongs to id i: (gh_re, gh_im) for a head and
+        # (da, db) for a tail, which reads it with sign -1.0.
+        ids = _half_rows(np.concatenate([positives[:, 0], positives[:, 2],
+                                         negatives[:, 0], negatives[:, 2]]))
+        ent_contrib, rel_contrib = _scratch((4 * n, d), (n, d))
+        ent_blocks = ent_contrib.reshape(2, 2 * n, d)
 
-        def terms(tr, dldf_of, g_h, g_t, g_r):
+        def terms(tr, heads, tails, dldf_of, g_r):
             """Scores of a triple block, chained into entity-row and phase gradients."""
             f = np.empty(len(tr))
+            h, t, r = ids[:, heads], ids[:, tails], tr[:, 1]
+            g_h, g_t = ent_blocks[:, heads], ent_blocks[:, tails]
 
             def chunk(rows):
                 a, b, modulus, cos, sin, t_re, t_im = self._residual(
-                    store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
+                    store, trig, h[:, rows], r[rows], t[:, rows])
                 f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
                 neg_dldf = -dldf_of(f_rows)[:, None]
                 # (da, db) = -(a, b) / modulus * dldf where the modulus is
@@ -737,41 +773,41 @@ class RotatE(ModelKind):
                 # times -dldf: the same products, sign for sign.
                 zero = ~(modulus > 0.0)
                 np.copyto(modulus, 1.0, where=zero)
-                da = np.divide(a, modulus)
+                da = np.divide(a, modulus, out=g_t[0, rows])
                 np.copyto(da, -0.0, where=zero)
                 da *= neg_dldf
-                db = np.divide(b, modulus, out=modulus)
+                db = np.divide(b, modulus, out=g_t[1, rows])
                 np.copyto(db, -0.0, where=zero)
                 db *= neg_dldf
-                # Rows gr = db (a + t_re) - da (b + t_im), gh = (da cos + db sin,
-                # db cos - da sin) and gt = -(da, db), with the spent b as scratch.
+                # Rows gr = db (a + t_re) - da (b + t_im) and gh = (da cos +
+                # db sin, db cos - da sin), with the spent b as scratch; the
+                # tails' gt = -(da, db) is the sign of their references.
                 gr = np.add(a, t_re, out=g_r[rows])
                 gr *= db
                 b += t_im
                 b *= da
                 gr -= b
-                gh_re, gh_im = g_h[rows, :d], g_h[rows, d:]
+                gh_re, gh_im = g_h[:, rows]
                 np.multiply(db, cos, out=gh_im)
                 gh_im -= np.multiply(da, sin, out=b)
                 np.multiply(da, cos, out=gh_re)
                 gh_re += np.multiply(db, sin, out=b)
-                np.negative(da, out=g_t[rows, :d])
-                np.negative(db, out=g_t[rows, d:])
 
             _run_chunks(chunk, _row_chunks(len(tr)))
             return f
 
-        f_pos = terms(positives, lambda f: -expit(-(eta + f)),
-                      ent_contrib[:n_pos], ent_contrib[n_pos:2 * n_pos], rel_contrib[:n_pos])
-        f_neg = terms(negatives, lambda f: expit(eta + f) / k,
-                      ent_contrib[2 * n_pos:2 * n_pos + n_neg], ent_contrib[2 * n_pos + n_neg:],
-                      rel_contrib[n_pos:])
+        f_pos = terms(positives, slice(0, n_pos), slice(n_pos, 2 * n_pos),
+                      lambda f: -expit(-(eta + f)), rel_contrib[:n_pos])
+        f_neg = terms(negatives, slice(2 * n_pos, n + n_pos), slice(n + n_pos, 2 * n),
+                      lambda f: expit(eta + f) / k, rel_contrib[n_pos:])
         loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
-        ent_rows = np.concatenate([positives[:, 0], positives[:, 2],
-                                   negatives[:, 0], negatives[:, 2]])
+        # Half rows 2e and 2e + 1 are both touched or neither, so their sums,
+        # row after row, are the (k, 2d) rows of the entity gradient.
+        halves = _accumulate(ids.ravel(), ent_contrib, 2 * store.n_entities,
+                             *_rotate_refs(n_pos, n_neg))
         rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
         return loss, {
-            "entities": _accumulate(ent_rows, ent_contrib, store.n_entities),
+            "entities": SparseGrad(halves.rows[::2] >> 1, halves.values.reshape(-1, 2 * d)),
             "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
         }
 

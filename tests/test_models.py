@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from conftest import chunk_threads, make_graph, random_graph
 from kgedenoise import models, trainer
@@ -843,6 +844,157 @@ def test_accumulate_refuses_references_of_another_count():
         models._accumulate(rows, contribs, 2, np.array([0, 1, 1]), np.ones(2))
     with pytest.raises(ValueError):
         models._accumulate(rows, contribs, 2, np.array([0, 1, 1, 0]), np.ones(4))
+
+
+class ReferenceRotatE(RotatE):
+    """RotatE over the interleaved (|E|, 2d) rows: halves gathered with
+    slices, entity contributions written into the strided halves of a
+    (2n, 2d) buffer and the tails' rows negated: the reference for the
+    half-row body and its signed references."""
+
+    def _residual(self, store, trig, h, r, t):
+        d = store.dim
+        ent = store.entities
+        h_re, h_im = ent[h, :d], ent[h, d:]
+        t_re, t_im = ent[t, :d], ent[t, d:]
+        cos, sin = trig[0].take(r, 0), trig[1].take(r, 0)
+        a = h_re * cos
+        modulus = h_im * sin
+        a -= modulus
+        a -= t_re
+        b = np.multiply(h_re, sin, out=h_re)
+        b += np.multiply(h_im, cos, out=h_im)
+        b -= t_im
+        np.multiply(a, a, out=modulus)
+        modulus += np.multiply(b, b, out=h_im)
+        np.sqrt(modulus, out=modulus)
+        return a, b, modulus, cos, sin, t_re, t_im
+
+    def score_rows(self, store, context, h, r, t):
+        return -self._residual(store, context, h, r, t)[2].sum(axis=1)
+
+    def loss_grad(self, store, positives, negatives):
+        k, eta, d = self.negatives, self.margin, store.dim
+        trig = self.score_context(store)
+        n_pos, n_neg = len(positives), len(negatives)
+        ent_contrib = np.empty((2 * (n_pos + n_neg), 2 * d))
+        rel_contrib = np.empty((n_pos + n_neg, d))
+
+        def terms(tr, dldf_of, g_h, g_t, g_r):
+            f = np.empty(len(tr))
+
+            def chunk(rows):
+                a, b, modulus, cos, sin, t_re, t_im = self._residual(
+                    store, trig, tr[rows, 0], tr[rows, 1], tr[rows, 2])
+                f_rows = np.negative(modulus.sum(axis=1), out=f[rows])
+                neg_dldf = -dldf_of(f_rows)[:, None]
+                zero = ~(modulus > 0.0)
+                np.copyto(modulus, 1.0, where=zero)
+                da = np.divide(a, modulus)
+                np.copyto(da, -0.0, where=zero)
+                da *= neg_dldf
+                db = np.divide(b, modulus, out=modulus)
+                np.copyto(db, -0.0, where=zero)
+                db *= neg_dldf
+                gr = np.add(a, t_re, out=g_r[rows])
+                gr *= db
+                b += t_im
+                b *= da
+                gr -= b
+                gh_re, gh_im = g_h[rows, :d], g_h[rows, d:]
+                np.multiply(db, cos, out=gh_im)
+                gh_im -= np.multiply(da, sin, out=b)
+                np.multiply(da, cos, out=gh_re)
+                gh_re += np.multiply(db, sin, out=b)
+                np.negative(da, out=g_t[rows, :d])
+                np.negative(db, out=g_t[rows, d:])
+
+            models._run_chunks(chunk, models._row_chunks(len(tr)))
+            return f
+
+        f_pos = terms(positives, lambda f: -expit(-(eta + f)),
+                      ent_contrib[:n_pos], ent_contrib[n_pos:2 * n_pos], rel_contrib[:n_pos])
+        f_neg = terms(negatives, lambda f: expit(eta + f) / k,
+                      ent_contrib[2 * n_pos:2 * n_pos + n_neg], ent_contrib[2 * n_pos + n_neg:],
+                      rel_contrib[n_pos:])
+        loss = float(np.logaddexp(0.0, -(eta + f_pos)).sum()
+                     + np.logaddexp(0.0, eta + f_neg).sum() / k)
+        ent_rows = np.concatenate([positives[:, 0], positives[:, 2],
+                                   negatives[:, 0], negatives[:, 2]])
+        rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
+        return loss, {
+            "entities": models._accumulate(ent_rows, ent_contrib, store.n_entities),
+            "relations": models._accumulate(rel_rows, rel_contrib, store.n_relations),
+        }
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_half_row_rotate_loss_is_bitwise_the_reference(data):
+    margin = data.draw(st.sampled_from([0.0, 2.0, 6.0]))
+    negatives = data.draw(st.integers(1, 4))
+    n_ent, n_rel = data.draw(st.integers(6, 20)), data.draw(st.integers(1, 4))
+    graph = random_graph(np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))),
+                         n_entities=n_ent, n_relations=n_rel,
+                         n_train=data.draw(st.integers(1, 30)), n_valid=2, n_test=2)
+    batch = graph.train[data.draw(st.lists(st.integers(0, len(graph.train) - 1), min_size=1,
+                                           max_size=40))]
+    zero_moduli = data.draw(st.booleans())
+    if zero_moduli:  # as in chunked_training_run: the -0.0 branch runs
+        batch = np.concatenate([batch, [[0, 0, 1], [1, 0, 0]]])
+    # A second, partial batch: the epoch's last, shorter one.
+    batches = [batch, batch[:data.draw(st.integers(1, len(batch)))]]
+    dim = data.draw(st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    row_block = data.draw(st.sampled_from([1, 7, 384]))
+    threads = data.draw(st.sampled_from([1, 2]))
+    # Gradient-sum ranges of a few rows, or one range.
+    cells = data.draw(st.sampled_from([(64, 8), (models._CELL_BLOCK, models._MIN_CELL_BLOCK)]))
+    runs = []
+    for kind in (RotatE(margin, negatives), ReferenceRotatE(margin, negatives)):
+        store = init_embeddings(n_ent, n_rel, dim, kind, seed=seed % 1000)
+        if zero_moduli:
+            store.entities[1] = store.entities[0]
+            store.relations[0] = 0.0
+        rng, steps = np.random.default_rng(seed), []
+        with mock.patch.object(models, "_ROW_BLOCK", row_block), chunk_threads(threads), \
+                mock.patch.object(models, "_CELL_BLOCK", cells[0]), \
+                mock.patch.object(models, "_MIN_CELL_BLOCK", cells[1]):
+            for positives in batches:
+                loss, grads = loss_and_grad(kind, store, graph, positives, rng)
+                adam_step(store, grads, 0.05)
+                steps.append((loss, grads))
+        runs.append((steps, store))
+    (steps, store), (expected_steps, expected) = runs
+    for (loss, grads), (expected_loss, expected_grads) in zip(steps, expected_steps):
+        assert bits(loss).tolist() == bits(expected_loss).tolist()
+        assert list(grads) == list(expected_grads) == ["entities", "relations"]
+        for name in grads:
+            assert np.array_equal(grads[name].rows, expected_grads[name].rows)
+            assert np.array_equal(bits(grads[name].values), bits(expected_grads[name].values))
+    for (_, *matrices), (_, *expected_matrices) in zip(store.matrices(), expected.matrices()):
+        for matrix, expected_matrix in zip(matrices, expected_matrices):
+            assert np.array_equal(bits(matrix), bits(expected_matrix))
+
+
+@pytest.mark.parametrize("row_block", [1, 7, 384])
+def test_half_row_rotate_scores_are_bitwise_the_reference(row_block):
+    store = init_embeddings(23, 4, 6, RotatE(), seed=9)
+    store.entities[1] = store.entities[0]  # (0, 0, 1) and (1, 0, 0) score exactly 0
+    store.relations[0] = 0.0
+    triples = np.concatenate([np.random.default_rng(3).integers(0, [23, 4, 23], size=(60, 3)),
+                              [[0, 0, 1], [1, 0, 0]]])
+
+    def scores(kind):
+        out = [score_batch(kind, store, triples)]
+        for h, r, t in triples[::7].tolist():
+            out += [score_all_tails(kind, store, h, r), score_all_heads(kind, store, r, t)]
+        return out
+
+    with mock.patch.object(models, "_ROW_BLOCK", row_block):
+        actual, expected = scores(RotatE()), scores(ReferenceRotatE())
+    assert all(np.array_equal(bits(a), bits(e)) for a, e in zip(actual, expected, strict=True))
+    assert expected[0][-2:].tolist() == [0.0, 0.0]
 
 
 def test_rotate_trig_is_taken_once_per_call():
