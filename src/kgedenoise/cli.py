@@ -190,7 +190,8 @@ def build_parser() -> _Parser:
                      description="Noise-robust knowledge-graph embedding toolkit")
     parser.add_argument("--threads", type=int, default=None,
                         help="cap the threads that run the training step's and scoring's "
-                             "chunks (default and maximum: the usable CPUs); "
+                             "chunks, and the process that draws negatives ahead "
+                             "(default and maximum: the usable CPUs); "
                              "OPENBLAS_NUM_THREADS and OMP_NUM_THREADS cap BLAS")
     sub = parser.add_subparsers(dest="command", required=True)
 

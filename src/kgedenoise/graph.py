@@ -279,6 +279,21 @@ class KnowledgeGraph:
         )
 
 
+class PositiveIndex:
+    """What ``corrupt_batch`` reads of a graph: its sizes and positive index,
+    without vocabularies, splits or noise labels, to send to another process."""
+
+    def __init__(self, graph: KnowledgeGraph):
+        self.n_entities, self.n_relations = graph.n_entities, graph.n_relations
+        self.positive_index = graph.positive_index
+        self._code_weights = graph._code_weights
+
+    encode = KnowledgeGraph.encode
+    encode_array = KnowledgeGraph.encode_array
+    is_positive = KnowledgeGraph.is_positive
+    known_rows = KnowledgeGraph.known_rows
+
+
 def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Vocabulary,
                 report: LoadReport):
     rows: list[tuple[int, int, int]] = []

@@ -69,7 +69,8 @@ Threads. Every such loop hands its chunks to ``_run_chunks``, which runs
 them on a process-wide pool when there are two or more (the calling
 thread takes chunks too, and ``set_max_threads`` caps the threads) and
 inline otherwise, as at the synthetic preset's sizes. The calling thread
-alone draws every random number (``corrupt_batch``), makes every buffer
+alone draws every random number (``corrupt_batch``; ``sampler`` says when
+a helper process draws an epoch's negatives ahead), makes every buffer
 (from its own workspace), takes every loss sum (DistMult's L2 sums over
 the squares its chunks wrote), decides the non-finite verdict and runs
 TransE's projection; the functions a tracer may wrap run only there. The
@@ -303,6 +304,7 @@ def _row_chunks(n: int):
 _helpers: int | None = None
 _pool: ThreadPoolExecutor | None = None
 _max_threads: int | None = None  # set_max_threads's cap; None means every usable CPU
+_drawing_ahead = False  # while sampler's helper process draws, the pool lends it a thread
 
 
 def _usable_cpus() -> int:
@@ -322,7 +324,8 @@ def set_max_threads(count: int | None) -> None:
     """Cap the threads that run chunks at ``count`` (at least 1); None lifts the cap.
 
     A count above the usable CPUs is clamped to them. The pool is rebuilt
-    on its next use.
+    on its next use. ``sampler``'s helper process, which draws negatives
+    ahead, counts as one of the threads and starts only under a cap of 2 or more.
     """
     global _max_threads
     if count is not None and count < 1:
@@ -375,7 +378,7 @@ def _run_chunks(body, pieces) -> list:
                 errors[i] = exc
 
     helpers = [_pool.submit(contextvars.copy_context().run, drain)
-               for _ in range(min(_helpers, len(pieces) - 1))]
+               for _ in range(min(_helpers - _drawing_ahead, len(pieces) - 1))]
     drain()
     # A helper that has not started by now finds nothing to do: cancel it
     # rather than wait for a thread the scheduler has not yet run.
@@ -813,17 +816,21 @@ class RotatE(ModelKind):
 
 
 def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
-                  positives: np.ndarray, rng: np.random.Generator):
+                  positives: np.ndarray, rng: np.random.Generator,
+                  negatives: np.ndarray | None = None):
     """Batch loss and sparse gradients over the rows the batch touches.
 
-    Negatives are drawn inside against the graph's positive index. The
+    Unless ``negatives`` holds the batch's draws, made ahead, they are drawn
+    here with ``corrupt_batch`` against the graph's positive index. The
     returned loss is the sum over the batch (Adam's update direction is
     invariant to that scale).
     """
     positives = np.asarray(positives, dtype=np.int64).reshape(-1, 3)
     if len(positives) == 0:
         raise DataError("loss_and_grad requires a nonempty batch of positives")
-    return kind.loss_grad(store, positives, corrupt_batch(graph, positives, rng, kind.negatives))
+    if negatives is None:
+        negatives = corrupt_batch(graph, positives, rng, kind.negatives)
+    return kind.loss_grad(store, positives, negatives)
 
 
 # -- optimizer -----------------------------------------------------------------

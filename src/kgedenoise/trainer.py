@@ -11,8 +11,9 @@ the delayed reward, and update the policy.
 
 Every stochastic step draws from its own child generator derived from
 the master seed (see ``seeding``), so whole pipelines are reproducible
-and individual stages can be replayed in isolation. Ground-truth noise
-labels are never read anywhere in this module.
+and individual stages can be replayed in isolation (``sampler`` may draw
+an epoch's negatives in a helper process, with the same bits). Ground-truth
+noise labels are never read anywhere in this module.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import DataError, NumericError
 from .graph import KnowledgeGraph
 from .models import (DistMult, EmbeddingStore, ModelKind, RotatE, TransE, adam_step,
                      init_embeddings, loss_and_grad, relation_features, score_batch)
+from .sampler import epoch_negatives
 from .seeding import seed_for
 
 logger = logging.getLogger(__name__)
@@ -61,15 +63,16 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
     if n == 0:
         raise DataError("cannot train on an empty triple set")
     project = _normalize_entity_rows if kind.projects_entities else None
-    order = rng.permutation(n)
+    shuffled = triples[rng.permutation(n)]
     total = 0.0
-    for start in range(0, n, batch_size):
-        batch = triples[order[start:start + batch_size]]
-        loss, grads = loss_and_grad(kind, store, graph, batch, rng)
-        if not math.isfinite(loss):
-            raise NumericError(f"non-finite loss on batch starting at {start}")
-        adam_step(store, grads, learning_rate, project)
-        total += loss
+    with epoch_negatives(graph, shuffled, batch_size, kind.negatives, rng) as drawn:
+        for start in range(0, n, batch_size):
+            loss, grads = loss_and_grad(kind, store, graph, shuffled[start:start + batch_size],
+                                        rng, negatives=next(drawn))
+            if not math.isfinite(loss):
+                raise NumericError(f"non-finite loss on batch starting at {start}")
+            adam_step(store, grads, learning_rate, project)
+            total += loss
     return total / n
 
 
@@ -80,14 +83,13 @@ def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
     translation training keeps the original method's unit-norm entity
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
-    Rows of norm 0 are divided by 1.0, which keeps their bits. ``adam_step``
-    passes a view of the entity rows it gathered, all of them finite, and
-    stores them after this returns.
+    Rows of norm 0, which hold only +-0.0, are left as they are, bits and
+    all. ``adam_step`` passes a view of the entity rows it gathered, all of
+    them finite, and stores them after this returns.
     """
     norms = np.square(block).sum(1, keepdims=True)
     np.sqrt(norms, out=norms)
-    norms[~(norms > 0.0)] = 1.0
-    return np.divide(block, norms, out=block)
+    return np.divide(block, norms, out=block, where=norms > 0.0)
 
 
 @dataclass

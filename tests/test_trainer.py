@@ -447,3 +447,11 @@ def test_synthetic_scale_epoch_never_builds_the_pool(model):
         run_kge_epoch(kind, store, graph, graph.train, 0.01,
                       preset.batch_size, np.random.default_rng(0))
         assert models._helpers is None
+
+
+def test_projection_leaves_a_zero_row_bitwise():
+    block = np.array([[-0.0, 0.0, -0.0], [3.0, 0.0, -4.0]])
+    zero_bits = block[0].view(np.uint64).copy()
+    assert trainer._normalize_entity_rows(block) is block
+    assert np.array_equal(block[0].view(np.uint64), zero_bits)
+    assert block[1].tolist() == [0.6, 0.0, -0.8]
