@@ -72,14 +72,17 @@ inline otherwise, as at the synthetic preset's sizes. The calling thread
 alone draws every random number (``corrupt_batch``; ``sampler`` says when
 a helper process draws an epoch's negatives ahead), makes every buffer
 (from its own workspace), takes every loss sum (DistMult's L2 sums over
-the squares its chunks wrote), decides the non-finite verdict and runs
-TransE's projection; the functions a tracer may wrap run only there. The
-gradient sums' zero fill and the L2 gather run in chunks. A chunk only
-writes its own rows of buffers made before it runs, and every element
-goes through the same operations in the same order whichever thread runs
-it. So losses, gradients and stores are bitwise equal for any thread
-count, and to an unchunked, row-major step over separate entity and
-relation matrices.
+the squares its chunks wrote) and decides the non-finite verdict. The
+gradient sums' zero fill, the L2 gather and TransE's projection run in
+chunks; of the functions a tracer may wrap, only the projection, which
+``adam_step`` is given, may run in a pool thread, and ``adam_step`` runs
+one call of it at a time, so a tracer sees those spans one by one inside
+the step's span. A chunk only writes its own rows of buffers made before
+it runs, every element goes through the same operations in the same
+order whichever thread runs it, and a row's norm is one reduction over
+that row alone. So losses, gradients and stores are bitwise equal for
+any thread count, and to an unchunked, row-major step over separate
+entity and relation matrices.
 
 Checkpoint layout (all little-endian, documented here and in README):
 
@@ -305,6 +308,7 @@ _helpers: int | None = None
 _pool: ThreadPoolExecutor | None = None
 _max_threads: int | None = None  # set_max_threads's cap; None means every usable CPU
 _drawing_ahead = False  # while sampler's helper process draws, the pool lends it a thread
+_projecting = threading.Lock()  # held by adam_step around each call of project_entities
 
 
 def _usable_cpus() -> int:
@@ -865,9 +869,12 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], learning_rate
     (lazy/sparse Adam semantics). Each table's touched rows of parameters
     and moments are gathered, updated and checked in row chunks on the
     chunk pool, and scattered back in the same chunks only once every
-    chunk has passed. ``project_entities``, if given, projects updated
-    entity rows in place in the calling thread before the scatter
-    (TransE's unit-norm projection), never a shared table's relation rows.
+    chunk has passed. ``project_entities``, if given, projects each
+    chunk's updated entity rows in place once the chunk has passed its
+    finite check, in whichever thread runs the chunk (TransE's unit-norm
+    projection), never a shared table's relation rows; it must read and
+    write only the block it is given. Its calls never overlap, so it may
+    be a wrapper that is not thread-safe, such as a tracer's timer.
     A non-finite gradient or updated parameter raises ``NumericError``
     before anything of that table is stored; the first bad gradient row
     is reported before any bad parameter. The gradient is scanned only in
@@ -906,6 +913,9 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], learning_rate
             rows = grad.rows
             shape = (len(rows), params.shape[1])
             m_rows, v_rows, p_rows = _scratch(shape, shape, shape)
+            # Rows below |E| are entities: a shared table's relations stay free.
+            projected = (rows.searchsorted(store.n_entities)
+                         if project_entities is not None and name == "entities" else 0)
 
             def update(chunk):
                 """(bad gradient, bad parameter) messages of a chunk, or Nones."""
@@ -936,13 +946,17 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], learning_rate
                 # An inf or nan gradient entry makes its parameter nan (inf/inf in
                 # the update, or nan throughout), so finite parameters prove the
                 # gradient finite, and only a non-finite sum needs the scans.
-                if math.isfinite(p_chunk.sum()):
-                    return None, None
-                bad = _non_finite_row(store, name, ids, g)
-                if bad is not None:
-                    return f"non-finite gradient for {bad}", None
-                bad = _non_finite_row(store, name, ids, p_chunk)
-                return None, bad and f"non-finite parameter after update: {bad}"
+                if not math.isfinite(p_chunk.sum()):
+                    bad = _non_finite_row(store, name, ids, g)
+                    if bad is not None:
+                        return f"non-finite gradient for {bad}", None
+                    bad = _non_finite_row(store, name, ids, p_chunk)
+                    if bad is not None:
+                        return None, f"non-finite parameter after update: {bad}"
+                if chunk.start < projected:
+                    with _projecting:
+                        project_entities(p_chunk[:projected - chunk.start])
+                return None, None
 
             def scatter(chunk):
                 ids = rows[chunk]
@@ -953,8 +967,6 @@ def adam_step(store: EmbeddingStore, grads: dict[str, SparseGrad], learning_rate
             message = next(filter(None, grad_bad + param_bad), None)
             if message is not None:
                 raise NumericError(message)
-            if project_entities is not None and name == "entities":
-                project_entities(p_rows[:rows.searchsorted(store.n_entities)])
             _run_chunks(scatter, chunks)
 
 

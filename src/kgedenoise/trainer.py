@@ -84,8 +84,10 @@ def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
     Rows of norm 0, which hold only +-0.0, are left as they are, bits and
-    all. ``adam_step`` passes a view of the entity rows it gathered, all of
-    them finite, and stores them after this returns.
+    all. ``adam_step`` passes a view of one row chunk's gathered entity
+    rows, all of them finite, from whichever thread runs that chunk, and
+    stores them once every chunk has passed, so this reads and writes only
+    ``block``.
     """
     norms = np.square(block).sum(1, keepdims=True)
     np.sqrt(norms, out=norms)

@@ -2,6 +2,7 @@ import os
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
 from unittest import mock
@@ -1436,6 +1437,101 @@ def test_late_gradient_scan_matches_the_eager_check(data):
                 outcomes.append(str(exc))
     assert outcomes[0] == outcomes[1]
     assert_same_store_bits(store, expected)
+
+
+def whole_block_projection_step(store, grads, learning_rate):
+    """``adam_step``, then TransE's projection over every touched entity row
+    at once: the oracle for the projection inside each row chunk."""
+    adam_step(store, grads, learning_rate)
+    rows = grads["entities"].rows
+    rows = rows[:rows.searchsorted(store.n_entities)]
+    store.entities[rows] = trainer._normalize_entity_rows(store.entities[rows])
+
+
+def counted_projection(block, counted):
+    """``_normalize_entity_rows`` that adds the rows it projects to ``counted``."""
+    counted.append(len(block))
+    return trainer._normalize_entity_rows(block)
+
+
+@pytest.mark.parametrize("row_block, threads",
+                         [(block, threads) for threads in (1, 2, 3) for block in (1, 7, 1000)],
+                         ids=[f"{block}-{threads}threads"
+                              for threads in (1, 2, 3) for block in (1, 7, 1000)])
+@pytest.mark.parametrize("dim", [100, 200])  # 200 sums past numpy's 128-value pairwise block
+@pytest.mark.parametrize("norm", ["l1", "l2"])
+def test_per_chunk_projection_is_bitwise_the_whole_block_projection(norm, dim, row_block,
+                                                                    threads):
+    kind = TransE(norm, 1.0)
+    graph = random_graph(np.random.default_rng(dim), n_entities=40, n_relations=3,
+                         n_train=30, n_valid=2, n_test=2)
+    store = init_embeddings(40, 3, dim, kind, seed=7)
+    expected = store.copy()
+    for step in range(2):
+        _, grads = loss_and_grad(kind, store, graph, graph.train, np.random.default_rng(step))
+        whole_block_projection_step(expected, grads, 0.05)
+        projected = []
+        with mock.patch.object(models, "_ROW_BLOCK", row_block), chunk_threads(threads):
+            adam_step(store, grads, 0.05, lambda block: counted_projection(block, projected))
+        assert sum(projected) == np.count_nonzero(grads["entities"].rows < 40)
+        assert_same_store_bits(store, expected)
+
+
+def test_failed_transe_step_stores_none_of_its_projected_chunks():
+    store = init_embeddings(40, 2, 5, TransE("l2"), seed=1)
+    before = store.copy()
+    values = np.random.default_rng(2).standard_normal((42, 5))
+    values[33, 2] = np.nan
+    projected = []
+    # Chunks of 4: rows 32-35 hold the bad one, rows 40 and 41 are relations.
+    with mock.patch.object(models, "_ROW_BLOCK", 4), chunk_threads(2), \
+            pytest.raises(NumericError, match="gradient for entities row 33$"):
+        adam_step(store, {"entities": SparseGrad(np.arange(42), values)}, 0.01,
+                  lambda block: counted_projection(block, projected))
+    assert sum(projected) == 36
+    before.step += 1
+    assert_same_store_bits(store, before)
+
+
+def test_projection_calls_never_overlap():
+    # A tracer's timing wrapper is not thread-safe, so adam_step makes one
+    # call at a time, whichever threads run the chunks.
+    store = init_embeddings(30, 2, 4, TransE("l2"), seed=3)
+    grads = {"entities": SparseGrad(np.arange(32),
+                                    np.random.default_rng(4).standard_normal((32, 4)))}
+    counting, active, most, callers = threading.Lock(), [0], [0], set()
+
+    def project(block):
+        with counting:
+            active[0] += 1
+            most[0] = max(most[0], active[0])
+            callers.add(threading.get_ident())
+        time.sleep(0.002)  # long enough for another thread to reach its call
+        with counting:
+            active[0] -= 1
+        return trainer._normalize_entity_rows(block)
+
+    with mock.patch.object(models, "_ROW_BLOCK", 1), chunk_threads(3):
+        adam_step(store, grads, 0.01, project)
+    assert most[0] == 1
+    assert len(callers) > 1
+
+
+@pytest.mark.parametrize("threads", [1, 2], ids=["1thread", "2threads"])
+def test_chunk_whose_finite_parameters_overflow_the_sum_is_still_projected(threads):
+    store = init_embeddings(12, 2, 3, TransE("l2"), seed=5)
+    store.entities[5] = [1e308, 1e308, 1.0]  # its chunk's sum overflows, its entries do not
+    grads = {"entities": SparseGrad(np.arange(14),
+                                    np.random.default_rng(6).standard_normal((14, 3)))}
+    expected = store.copy()
+    with np.errstate(over="ignore"):  # the sum and the huge row's squares overflow
+        whole_block_projection_step(expected, grads, 0.01)
+        with mock.patch.object(models, "_ROW_BLOCK", 4), chunk_threads(threads):
+            adam_step(store, grads, 0.01, trainer._normalize_entity_rows)
+    assert_same_store_bits(store, expected)
+    # The huge row's norm is inf, so it projects to zeros; its neighbours to unit norm.
+    assert not store.entities[5].any()
+    assert np.allclose(np.linalg.norm(store.entities[[4, 6, 7]], axis=1), 1.0)
 
 
 @pytest.mark.parametrize("rows, values", [
