@@ -14,6 +14,9 @@ softplus over +-1 labeled triples plus an L2 term on touched rows
 positive (RotatE). Every loss draws its negatives through
 ``corrupt_batch``. Gradients are returned sparsely, only for rows that a
 batch actually touches; the subgradient at hinge and L1 kinks is 0.
+What depends on a batch's ids alone, the ids each gather reads and each
+gradient sum's sort and CSR pattern (``_pattern``), is its plan
+(``ModelKind.plan``), which ``sampler``'s helper process may make ahead.
 Every model takes the same lazy Adam step, ``adam_step``, whose beta1, beta2
 and epsilon are Kingma & Ba's defaults; callers pass only the learning rate.
 
@@ -46,9 +49,9 @@ sign -1.0 for a tail. Their (2k, d) sums, pair after pair, are the (k, 2d)
 rows of the entity gradient. Paired, the ids keep ``_accumulate``'s 16-bit
 radix sort up to |E| = 32,768 (FB15k-237 has 14,541), and beyond it are
 sorted on 32 bits by comparison. ``_accumulate`` sums a buffer's rows per
-touched row in one sorted CSR pass, in one call for a small gradient and
-else in ranges of touched rows that each zero-fill their own rows of the
-sums; DistMult's L2 term gathers and squares the touched rows in row
+touched row in one pass of the plan's CSR pattern, in one call for a small
+gradient and else in ranges of touched rows that each zero-fill their own
+rows of the sums; DistMult's L2 term gathers and squares the touched rows in row
 chunks; ``adam_step`` gathers, updates and checks each table's rows chunk by
 chunk and scatters them back in the same chunks. ``score_batch`` scores
 in the same row chunks.
@@ -69,10 +72,11 @@ Threads. Every such loop hands its chunks to ``_run_chunks``, which runs
 them on a process-wide pool when there are two or more (the calling
 thread takes chunks too, and ``set_max_threads`` caps the threads) and
 inline otherwise, as at the synthetic preset's sizes. The calling thread
-alone draws every random number (``corrupt_batch``; ``sampler`` says when
-a helper process draws an epoch's negatives ahead), makes every buffer
-(from its own workspace), takes every loss sum (DistMult's L2 sums over
-the squares its chunks wrote) and decides the non-finite verdict. The
+alone draws every random number and plans every batch (``corrupt_batch``
+and ``plan``; ``sampler`` says when a helper process does both ahead for
+an epoch), makes every buffer (from its own workspace), takes every loss
+sum (DistMult's L2 sums over the squares its chunks wrote) and decides
+the non-finite verdict. The
 gradient sums' zero fill, the L2 gather and TransE's projection run in
 chunks; of the functions a tracer may wrap, only the projection, which
 ``adam_step`` is given, may run in a pool thread, and ``adam_step`` runs
@@ -112,6 +116,7 @@ import threading
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.sparse._sparsetools import csr_matvecs as _csr_matvecs
@@ -442,44 +447,67 @@ def _scratch(*shapes: tuple[int, int]) -> tuple:
     return views
 
 
-def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int,
-                refs: np.ndarray | None = None, signs: np.ndarray | None = None) -> SparseGrad:
-    """Sum the contributions of the ids in ``rows`` per row id in ``[0, n_rows)``.
+class _Pattern(NamedTuple):
+    """A gradient sum's touched rows, ascending, and its CSR matrix over
+    ``n_contribs`` contribution rows: a row per touched row, its ids'
+    contribution rows (``order``) and +-1.0 (``data``) in id order."""
 
-    Id i contributes ``contribs[i]``, or ``signs[i] * contribs[refs[i]]``
-    given signed references (a row of ``contribs`` and a +-1.0 per id). One
-    stable sort of the ids, run on their narrowest unsigned copy (which
-    numpy radix-sorts up to 16 bits), lines up each touched row's
-    contributions in input order. ``csr_matvecs`` multiplies the CSR matrix
-    this makes (the signs, or ones, as data) by the row-major ``contribs``
-    into zeros, so each sum is 0.0 + s1*c1 + s2*c2 + ... in input order:
-    bitwise ``np.add.at`` of the signed rows into zeros, as a product with
-    +-1.0 is exact. Up to one range's cells are summed in one call; more in
-    ranges of touched rows, sized as the ``_CELL_BLOCK`` comment says, on
-    the chunk pool, each zero-filling its own rows of the fresh result just
-    before the kernel adds into them.
-    """
-    n, width = len(rows), contribs.shape[1]
+    unique: np.ndarray
+    indptr: np.ndarray
+    order: np.ndarray
+    data: np.ndarray
+    n_contribs: int
+
+
+def _pattern(rows: np.ndarray, n_rows: int, n_contribs: int,
+             refs: np.ndarray | None = None, signs: np.ndarray | None = None) -> _Pattern:
+    """The ``_Pattern`` of ``_accumulate``'s arguments but ``contribs``, of
+    ``n_contribs`` rows. One stable sort of the ids, run on their narrowest
+    unsigned copy (which numpy radix-sorts up to 16 bits), lines up each
+    touched row's contributions in input order."""
+    n = len(rows)
     counts = np.bincount(rows, minlength=n_rows)
-    # Else the sort key would wrap an id, or the kernel read past contribs.
-    sizes = {len(contribs)} if refs is None else {len(refs), len(signs)}
+    # Else the sort key would wrap an id, or the kernel read past the contributions.
+    sizes = {n_contribs} if refs is None else {len(refs), len(signs)}
     if len(counts) != n_rows or sizes != {n}:
         raise ValueError(f"want one contribution per row id in [0, {n_rows}), "
                          f"got {n} ids up to {len(counts) - 1}")
     unique = counts.nonzero()[0]
     order = rows.astype(np.min_scalar_type(n_rows - 1)).argsort(kind="stable")
-    k = len(unique)
-    indptr = np.empty(k + 1, dtype=np.intp)
+    indptr = np.empty(len(unique) + 1, dtype=np.intp)
     indptr[0] = 0
     counts[unique].cumsum(out=indptr[1:])
     if refs is None:
-        data = np.ones(n)
-    else:
-        order, data = refs.take(order), signs.take(order)
+        return _Pattern(unique, indptr, order, np.ones(n), n_contribs)
+    return _Pattern(unique, indptr, refs.take(order), signs.take(order), n_contribs)
+
+
+def _accumulate(rows: np.ndarray | _Pattern, contribs: np.ndarray, n_rows: int,
+                refs: np.ndarray | None = None, signs: np.ndarray | None = None) -> SparseGrad:
+    """Sum the contributions of the ids in ``rows`` per row id in ``[0, n_rows)``.
+
+    Id i contributes ``contribs[i]``, or ``signs[i] * contribs[refs[i]]``
+    given signed references (a row of ``contribs`` and a +-1.0 per id).
+    ``rows`` may instead be the ids' ``_pattern``, made ahead; one made for
+    another number of contribution rows raises ``ValueError``.
+    ``csr_matvecs`` multiplies the pattern's CSR matrix by the row-major
+    ``contribs`` into zeros, so each sum is 0.0 + s1*c1 + s2*c2 + ... in
+    input order: bitwise ``np.add.at`` of the signed rows into zeros, as a
+    product with +-1.0 is exact. Up to one range's cells are summed in one
+    call; more in ranges of touched rows, sized as the ``_CELL_BLOCK``
+    comment says, on the chunk pool, each zero-filling its own rows of the
+    fresh result just before the kernel adds into them.
+    """
+    if not isinstance(rows, _Pattern):
+        rows = _pattern(rows, n_rows, len(contribs), refs, signs)
+    unique, indptr, order, data, n_contribs = rows
+    if n_contribs != len(contribs):
+        raise ValueError(f"the pattern reads {n_contribs} contribution rows, got {len(contribs)}")
+    n, k, width = len(order), len(unique), contribs.shape[1]
     cells = min(_CELL_BLOCK, max(_MIN_CELL_BLOCK, n * width // 4))
     if n * width <= cells:
         acc = np.zeros((k, width))
-        _csr_matvecs(k, len(contribs), width, indptr, order, data, contribs, acc)
+        _csr_matvecs(k, n_contribs, width, indptr, order, data, contribs, acc)
         return SparseGrad(unique, acc)
     acc = np.empty((k, width))
     # A range starts at each touched row that holds a contribution numbered
@@ -491,7 +519,7 @@ def _accumulate(rows: np.ndarray, contribs: np.ndarray, n_rows: int,
         lo, hi = piece
         out = acc[lo:hi]
         out.fill(0.0)
-        _csr_matvecs(hi - lo, len(contribs), width, indptr[lo:hi + 1], order, data, contribs, out)
+        _csr_matvecs(hi - lo, n_contribs, width, indptr[lo:hi + 1], order, data, contribs, out)
 
     _run_chunks(range_sum, zip(bounds, bounds[1:]))
     return SparseGrad(unique, acc)
@@ -518,7 +546,9 @@ class ModelKind:
     """What a model kind supplies, with TransE's and DistMult's defaults.
 
     Each kind also defines ``header_fields`` (its checkpoint kind, norm
-    code, float parameter and negatives), ``score_rows`` and ``loss_grad``.
+    code, float parameter and negatives), ``score_rows``, ``plan`` (the ids
+    its gathers read, then each gradient table's ``_pattern``) and
+    ``loss_grad``, which makes the plan itself when not given one.
     """
 
     entity_parts = 1            # entity row width in units of dim
@@ -565,12 +595,21 @@ class TransE(ModelKind):
         return (-np.abs(delta).sum(axis=1) if self.norm == "l1"
                 else -np.sqrt((delta * delta).sum(axis=1)))
 
-    def loss_grad(self, store, positives, negatives):
-        ent, rel, n_ent = store.entities, store.relations, store.n_entities
+    def plan(self, positives, negatives, n_entities, n_relations):
+        # The ids hp, tp, hn, tn and r + |E| read rows of the shared table.
+        n = len(positives)
+        ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
+                              positives[:, 1] + n_entities])
+        return ids, _pattern(ids, n_entities + n_relations, 3 * n, *_transe_refs(n))
+
+    def loss_grad(self, store, positives, negatives, plan=None):
+        ids, pattern = plan or self.plan(positives, negatives, store.n_entities,
+                                         store.n_relations)
+        ent, rel = store.entities, store.relations
         n, r = len(positives), positives[:, 1]
-        # Positives over negatives: heads and tails of shape (2, n).
-        pairs = np.concatenate([positives, negatives]).reshape(2, n, 3)
-        heads, tails = pairs[..., 0], pairs[..., 2]
+        # Positives over negatives: heads (hp, hn) and tails (tp, tn) of shape (2, n).
+        quads = ids[:4 * n].reshape(4, n)
+        heads, tails = quads[0::2], quads[1::2]
         violation = np.empty(n)
         # Rows g_pos (the gradient in h of the positives' distances), g_neg and
         # g_pos - g_neg; inactive rows hold zeros. The ids hp, tp, hn, tn and r
@@ -600,10 +639,8 @@ class TransE(ModelKind):
 
         _run_chunks(chunk, _row_chunks(n))
         loss = float(violation[violation > 0.0].sum())
-        ids = np.concatenate([positives[:, 0], positives[:, 2], negatives[:, 0], negatives[:, 2],
-                              r + n_ent])
-        return loss, {"entities": _accumulate(ids, contrib, n_ent + store.n_relations,
-                                              *_transe_refs(n))}
+        return loss, {"entities": _accumulate(pattern, contrib,
+                                              store.n_entities + store.n_relations)}
 
 
 @dataclass(frozen=True)
@@ -617,12 +654,19 @@ class DistMult(ModelKind):
     def score_rows(self, store, context, h, r, t):
         return (store.entities[h] * store.relations[r] * store.entities[t]).sum(axis=1)
 
-    def loss_grad(self, store, positives, negatives):
+    def plan(self, positives, negatives, n_entities, n_relations):
+        # The ids h, t and r + |E| of the labeled triples read rows of the shared table.
         labeled = np.concatenate([positives, negatives])
+        ids = np.concatenate([labeled[:, 0], labeled[:, 2], labeled[:, 1] + n_entities])
+        return ids, _pattern(ids, n_entities + n_relations, len(ids))
+
+    def loss_grad(self, store, positives, negatives, plan=None):
+        ids, pattern = plan or self.plan(positives, negatives, store.n_entities,
+                                         store.n_relations)
         neg_y = np.repeat([-1.0, 1.0], [len(positives), len(negatives)])  # -label
-        ent, rel = store.entities, store.relations
-        h, r, t = labeled[:, 0], labeled[:, 1], labeled[:, 2]
-        n = len(labeled)
+        params = store.tables[0][1]
+        n = len(positives) + len(negatives)
+        h, t, r = ids.reshape(3, n)
 
         z = np.empty(n)
         # Rows h, t and r of the labeled triples.
@@ -632,7 +676,7 @@ class DistMult(ModelKind):
         def chunk(rows):
             # (eh er et summed per row, in the rows of h) and then dldf (er et),
             # (dldf eh) er and (dldf eh) et.
-            eh, er, et = ent.take(h[rows], 0), rel.take(r[rows], 0), ent.take(t[rows], 0)
+            eh, er, et = params.take(h[rows], 0), params.take(r[rows], 0), params.take(t[rows], 0)
             gh = np.multiply(eh, er, out=g_h[rows])
             gh *= et
             y_rows = neg_y[rows]
@@ -646,8 +690,7 @@ class DistMult(ModelKind):
 
         _run_chunks(chunk, _row_chunks(n))
         loss = float(_softplus(z).sum())
-        n_ent = store.n_entities
-        grad = _accumulate(np.concatenate([h, t, r + n_ent]), contrib, n_ent + store.n_relations)
+        grad = _accumulate(pattern, contrib, len(params))
         loss += self._l2_term(store, grad)
         return loss, {"entities": grad}
 
@@ -749,18 +792,27 @@ class RotatE(ModelKind):
         their entity rows gathered as half rows."""
         return -self._residual(store, context, _half_rows(h), r, _half_rows(t))[2].sum(axis=1)
 
-    def loss_grad(self, store, positives, negatives):
+    def plan(self, positives, negatives, n_entities, n_relations):
+        # Half rows of the ids hp, tp, hn, tn, real over imaginary. Entity
+        # contribution row i belongs to id i: (gh_re, gh_im) for a head and
+        # (da, db) for a tail, which reads it with sign -1.0.
+        n_pos, n_neg = len(positives), len(negatives)
+        ids = _half_rows(np.concatenate([positives[:, 0], positives[:, 2],
+                                         negatives[:, 0], negatives[:, 2]])).ravel()
+        rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
+        return (ids, _pattern(ids, 2 * n_entities, len(ids), *_rotate_refs(n_pos, n_neg)),
+                _pattern(rel_rows, n_relations, len(rel_rows)))
+
+    def loss_grad(self, store, positives, negatives, plan=None):
+        ids, ent_pattern, rel_pattern = plan or self.plan(positives, negatives,
+                                                          store.n_entities, store.n_relations)
         k = self.negatives
         eta = self.margin
         trig = self.score_context(store)
         d = store.dim
         n_pos, n_neg = len(positives), len(negatives)
         n = n_pos + n_neg
-        # Half rows of the ids hp, tp, hn, tn, real over imaginary. Entity
-        # contribution row i belongs to id i: (gh_re, gh_im) for a head and
-        # (da, db) for a tail, which reads it with sign -1.0.
-        ids = _half_rows(np.concatenate([positives[:, 0], positives[:, 2],
-                                         negatives[:, 0], negatives[:, 2]]))
+        ids = ids.reshape(2, 2 * n)
         ent_contrib, rel_contrib = _scratch((4 * n, d), (n, d))
         ent_blocks = ent_contrib.reshape(2, 2 * n, d)
 
@@ -810,22 +862,22 @@ class RotatE(ModelKind):
         loss = float(_softplus(-(eta + f_pos)).sum() + _softplus(eta + f_neg).sum() / k)
         # Half rows 2e and 2e + 1 are both touched or neither, so their sums,
         # row after row, are the (k, 2d) rows of the entity gradient.
-        halves = _accumulate(ids.ravel(), ent_contrib, 2 * store.n_entities,
-                             *_rotate_refs(n_pos, n_neg))
-        rel_rows = np.concatenate([positives[:, 1], negatives[:, 1]])
+        halves = _accumulate(ent_pattern, ent_contrib, 2 * store.n_entities)
         return loss, {
             "entities": SparseGrad(halves.rows[::2] >> 1, halves.values.reshape(-1, 2 * d)),
-            "relations": _accumulate(rel_rows, rel_contrib, store.n_relations),
+            "relations": _accumulate(rel_pattern, rel_contrib, store.n_relations),
         }
 
 
 def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
                   positives: np.ndarray, rng: np.random.Generator,
-                  negatives: np.ndarray | None = None):
+                  negatives: np.ndarray | None = None, *, plan: tuple | None = None):
     """Batch loss and sparse gradients over the rows the batch touches.
 
     Unless ``negatives`` holds the batch's draws, made ahead, they are drawn
-    here with ``corrupt_batch`` against the graph's positive index. The
+    here with ``corrupt_batch`` against the graph's positive index. Unless
+    ``plan`` holds ``kind.plan`` of the batch, made ahead with the negatives,
+    the loss body makes it; the gradients' rows may be the plan's. The
     returned loss is the sum over the batch (Adam's update direction is
     invariant to that scale).
     """
@@ -834,7 +886,9 @@ def loss_and_grad(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
         raise DataError("loss_and_grad requires a nonempty batch of positives")
     if negatives is None:
         negatives = corrupt_batch(graph, positives, rng, kind.negatives)
-    return kind.loss_grad(store, positives, negatives)
+    if plan is None:
+        return kind.loss_grad(store, positives, negatives)
+    return kind.loss_grad(store, positives, negatives, plan)
 
 
 # -- optimizer -----------------------------------------------------------------

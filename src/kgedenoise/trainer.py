@@ -12,8 +12,9 @@ the delayed reward, and update the policy.
 Every stochastic step draws from its own child generator derived from
 the master seed (see ``seeding``), so whole pipelines are reproducible
 and individual stages can be replayed in isolation (``sampler`` may draw
-an epoch's negatives in a helper process, with the same bits). Ground-truth
-noise labels are never read anywhere in this module.
+and plan an epoch's batches in a helper process, with the same bits). The
+score-mimic warm start fits relations in cache-sized lockstep groups.
+Ground-truth noise labels are never read anywhere in this module.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .errors import DataError, NumericError
 from .graph import KnowledgeGraph
 from .models import (DistMult, EmbeddingStore, ModelKind, RotatE, TransE, adam_step,
                      init_embeddings, loss_and_grad, relation_features, score_batch)
-from .sampler import epoch_negatives
+from .sampler import epoch_batches
 from .seeding import seed_for
 
 logger = logging.getLogger(__name__)
@@ -65,10 +66,11 @@ def run_kge_epoch(kind: ModelKind, store: EmbeddingStore, graph: KnowledgeGraph,
     project = _normalize_entity_rows if kind.projects_entities else None
     shuffled = triples[rng.permutation(n)]
     total = 0.0
-    with epoch_negatives(graph, shuffled, batch_size, kind.negatives, rng) as drawn:
+    with epoch_batches(kind, graph, shuffled, batch_size, rng) as prepared:
         for start in range(0, n, batch_size):
+            negatives, plan = next(prepared)
             loss, grads = loss_and_grad(kind, store, graph, shuffled[start:start + batch_size],
-                                        rng, negatives=next(drawn))
+                                        rng, negatives=negatives, plan=plan)
             if not math.isfinite(loss):
                 raise NumericError(f"non-finite loss on batch starting at {start}")
             adam_step(store, grads, learning_rate, project)
@@ -161,6 +163,11 @@ class RewardBaselines:
         return reward - previous
 
 
+# Bytes of policy states that one lockstep group of the score-mimic fit holds:
+# half of a 2 MiB per-core L2 cache.
+_MIMIC_GROUP_BYTES = 1 << 20
+
+
 def mimic_score_filter(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParams,
                        config: TrainConfig) -> None:
     """Supervised warm start: teach each agent its model's own score judgment.
@@ -173,31 +180,50 @@ def mimic_score_filter(graph: KnowledgeGraph, store: EmbeddingStore, params: Pol
     spreads one scalar over the whole trajectory); anchoring the agents
     to the embedding model's judgment gives the joint loop a working
     selector to refine. Deterministic; no randomness consumed.
+
+    Relations are fitted in groups, in order, whose states total at most
+    ``_MIMIC_GROUP_BYTES`` (or one larger relation), each built and fitted
+    before the next. A group steps in lockstep: each relation's products
+    on its own states, the elementwise Adam once on the stacked weights,
+    so each relation's weights are bitwise those of a fit on its own.
     """
-    kind = store.kind
     if config.agent_mimic_steps <= 0:
         return
+    group, size = [], 0
     for r in range(graph.n_relations):
-        positions = graph.relation_positions(r)
-        if len(positions) == 0:
-            continue
-        triples = graph.train[positions]
+        nbytes = len(graph.relation_positions(r)) * params.v.shape[1] * 8
+        if group and size + nbytes > _MIMIC_GROUP_BYTES:
+            _fit_mimic(graph, store, params, config, group)
+            group, size = [], 0
+        if nbytes:  # a relation with no train triples is not fitted
+            group, size = group + [r], size + nbytes
+    if group:
+        _fit_mimic(graph, store, params, config, group)
+
+
+def _fit_mimic(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParams,
+               config: TrainConfig, relations: list[int]) -> None:
+    """The score-mimic fit of ``relations``, in lockstep."""
+    kind = store.kind
+    fits = []
+    for r in relations:
+        triples = graph.train[graph.relation_positions(r)]
         heads, tails = store.entities[triples[:, 0]], store.entities[triples[:, 2]]
         zeros = np.zeros_like(heads)  # episode start: no selected-so-far means yet
         states = policy_states(relation_features(kind, store, np.array([r]))[0], heads, tails,
                                zeros, zeros)
         scores = score_batch(kind, store, triples)
-        keep = (scores >= np.quantile(scores, config.agent_mimic_quantile)).astype(np.float64)
-
-        v = params.v[r].copy()
-        m = np.zeros_like(v)
-        s2 = np.zeros_like(v)
-        for step in range(1, config.agent_mimic_steps + 1):
-            grad = states.T @ (keep - expit(states @ v)) / len(keep) - 2e-5 * v
-            m = 0.9 * m + 0.1 * grad
-            s2 = 0.999 * s2 + 0.001 * grad * grad
-            v += 0.02 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(s2 / (1.0 - 0.999 ** step)) + 1e-8)
-        params.v[r] = v * config.agent_mimic_sharpness
+        fits.append((states, (scores >= np.quantile(scores, config.agent_mimic_quantile))
+                     .astype(np.float64)))
+    v = params.v[relations]
+    m, s2, grad = np.zeros_like(v), np.zeros_like(v), np.empty_like(v)
+    for step in range(1, config.agent_mimic_steps + 1):
+        for g, (states, keep) in enumerate(fits):
+            grad[g] = states.T @ (keep - expit(states @ v[g])) / len(keep) - 2e-5 * v[g]
+        m = 0.9 * m + 0.1 * grad
+        s2 = 0.999 * s2 + 0.001 * grad * grad
+        v += 0.02 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(s2 / (1.0 - 0.999 ** step)) + 1e-8)
+    params.v[relations] = v * config.agent_mimic_sharpness
 
 
 def pretrain_agents(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParams,

@@ -847,6 +847,33 @@ def test_accumulate_refuses_references_of_another_count():
         models._accumulate(rows, contribs, 2, np.array([0, 1, 1, 0]), np.ones(4))
 
 
+def test_accumulate_refuses_a_pattern_of_other_contribution_rows():
+    rows, contribs = np.array([0, 1, 1]), np.ones((3, 2))
+    pattern = models._pattern(rows, 2, 3)
+    assert np.array_equal(models._accumulate(pattern, contribs, 2).values, [[1.0, 1.0], [2.0, 2.0]])
+    for short in (contribs[:2], np.ones((4, 2))):
+        with pytest.raises(ValueError, match="contribution rows"):
+            models._accumulate(pattern, short, 2)
+
+
+@ALL_KINDS
+def test_a_plan_of_another_batch_is_refused(kind):
+    # A plan made for 8 positives, given with a batch of 6: the kernel would
+    # read contribution rows the smaller batch does not have.
+    graph = random_graph(np.random.default_rng(8), n_entities=15, n_relations=3,
+                         n_train=30, n_valid=2, n_test=2)
+    store = init_embeddings(15, 3, 5, kind, seed=2)
+    rng = np.random.default_rng(0)
+    negatives = models.corrupt_batch(graph, graph.train[:8], rng, kind.negatives)
+    plan = kind.plan(graph.train[:8], negatives, store.n_entities, store.n_relations)
+    loss, grads = loss_and_grad(kind, store, graph, graph.train[:8], rng, negatives, plan=plan)
+    expected = loss_and_grad(kind, store, graph, graph.train[:8], rng, negatives)
+    assert bits(loss) == bits(expected[0])
+    with pytest.raises(ValueError):
+        loss_and_grad(kind, store, graph, graph.train[:6], rng, negatives[:6 * kind.negatives],
+                      plan=plan)
+
+
 class ReferenceRotatE(RotatE):
     """RotatE over the interleaved (|E|, 2d) rows: halves gathered with
     slices, entity contributions written into the strided halves of a

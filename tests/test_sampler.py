@@ -1,6 +1,7 @@
-"""The helper process that draws an epoch's negatives: the bits of inline
-draws, the calls the benchmark's tracer and checks rely on, and no helper
-left behind by its parent."""
+"""The helper process that draws an epoch's negatives and plans its batches:
+the bits of inline draws and plans, its ring of shared slots, the calls the
+benchmark's tracer and checks rely on, and no helper left behind by its
+parent or waited for after it died."""
 
 import contextlib
 import os
@@ -23,7 +24,7 @@ from kgedenoise import models, sampler, trainer
 from kgedenoise.config import TrainConfig
 from kgedenoise.errors import NumericError
 from kgedenoise.graph import PositiveIndex
-from kgedenoise.models import init_embeddings
+from kgedenoise.models import ModelKind, init_embeddings
 from kgedenoise.noise import inject_noise
 
 pytestmark = pytest.mark.skipif(not hasattr(os, "fork"), reason="the helper is forked")
@@ -51,6 +52,22 @@ def draws(helper: bool):
     with chunk_threads(1), mock.patch.object(models, "_usable_cpus", lambda: 2), \
             mock.patch.object(models, "_max_threads", None if helper else 1):
         yield
+
+
+@contextlib.contextmanager
+def deadline(seconds: float):
+    """Raise TimeoutError in the block once it has run ``seconds``, rather than
+    let a caller and a helper that wait for each other hang the suite."""
+    def expire(*_):
+        raise TimeoutError(f"still waiting after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def setup(model="distmult", norm="l1"):
@@ -115,6 +132,67 @@ def test_helper_draws_are_bitwise_the_inline_draws(model, norm):
     assert (runs[True][2], runs[False][2]) == (39, 0)
 
 
+SLOT_CASES = pytest.mark.parametrize(
+    "model, norm, count", [("transe", "l1", 1), ("transe", "l2", 1), ("distmult", "l1", 1),
+                           ("distmult", "l1", 3), ("rotate", "l1", 1), ("rotate", "l1", 3)],
+    ids=["transe-l1", "transe-l2", "distmult-1", "distmult-3", "rotate-1", "rotate-3"])
+
+
+def runs_with_and_without_helper(kind, graph, batch_size, seeds, fresh_helper=False):
+    """{helper: ((mean loss, generator state) per epoch, store bytes, batches
+    that came prepared)}, training a fresh store on each side."""
+    runs = {}
+    try:
+        for helper in (True, False):
+            store = init_embeddings(graph.n_entities, graph.n_relations, 6, kind, seed=1)
+            if fresh_helper:
+                sampler._stop()  # the next helper is forked under the test's patches
+            ahead, patch = drawn_ahead()
+            results = []
+            with draws(helper), patch, deadline(60):
+                for seed in seeds:
+                    rng = np.random.default_rng(seed)
+                    loss = trainer.run_kge_epoch(kind, store, graph, graph.train, LEARNING_RATE,
+                                                 batch_size, rng)
+                    results.append((loss, rng.bit_generator.state))
+                if helper:
+                    ring = sampler._ring.shape
+            runs[helper] = results, store_bytes(store), sum(ahead)
+    finally:
+        if fresh_helper:
+            sampler._stop()
+    return runs, ring
+
+
+@SLOT_CASES
+def test_helper_batches_that_fill_the_largest_slot_are_bitwise_inline(model, norm, count):
+    # A helper forked for batches of exactly one row block of negatives,
+    # over entities enough that nearly every id is a row of its own: the
+    # largest plans its slots were sized for.
+    graph = random_graph(np.random.default_rng(22), n_entities=2000, n_relations=4,
+                         n_train=200, n_valid=5, n_test=5)
+    kind = trainer.model_kind(TrainConfig(model=model, norm=norm, dim=6, k_negatives=count))
+    rows = BATCH * kind.negatives
+    with mock.patch.object(models, "_ROW_BLOCK", rows):
+        runs, ring = runs_with_and_without_helper(kind, graph, BATCH, range(3), fresh_helper=True)
+    assert ring == (sampler._SLOTS, sampler._slot_words(rows))
+    assert runs[True][:2] == runs[False][:2]
+    assert (runs[True][2], runs[False][2]) == (39, 0)
+
+
+@pytest.mark.parametrize("slots", [2, 16])
+@CASES
+def test_epochs_of_more_batches_than_slots_are_bitwise_inline(model, norm, slots):
+    # Batches of 4: 50 an epoch, so a ring of 16 slots wraps three times and
+    # one of 2 after every other batch.
+    graph, kind, _ = setup(model, norm)
+    with mock.patch.object(sampler, "_SLOTS", slots):
+        runs, ring = runs_with_and_without_helper(kind, graph, 4, range(2), fresh_helper=True)
+    assert ring[0] == slots
+    assert runs[True][:2] == runs[False][:2]
+    assert (runs[True][2], runs[False][2]) == (100, 0)
+
+
 def test_only_batches_of_one_row_block_are_drawn_ahead():
     graph, kind, store = setup()
     for row_block, expected in ((BATCH * kind.negatives, 13), (BATCH * kind.negatives - 1, 0)):
@@ -169,6 +247,74 @@ def test_a_helper_that_died_is_replaced():
             runs[helper] = epoch(kind, store, graph, 1), store_bytes(store), sum(ahead)
     assert runs[True][:2] == runs[False][:2] and runs[True][2] == 13
     assert sampler._helper[0] != pid
+
+
+def test_a_helper_killed_mid_epoch_ends_the_epoch_and_is_replaced():
+    graph, kind, store = setup()
+    with draws(True):
+        epoch(kind, store, graph, 0)
+    pid = sampler._helper[0]
+    real, calls = trainer.loss_and_grad, []
+
+    def killing_on_third_batch(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            os.kill(pid, signal.SIGKILL)
+        return real(*args, **kwargs)
+
+    # Batches of 4: 50, more than the ring holds, so the caller must hear from
+    # the dead helper again. A wait that never ends raises TimeoutError instead.
+    with draws(True), mock.patch.object(trainer, "loss_and_grad", killing_on_third_batch), \
+            pytest.raises((EOFError, BrokenPipeError, ConnectionResetError)), deadline(30):
+        trainer.run_kge_epoch(kind, store, graph, graph.train, LEARNING_RATE, 4,
+                              np.random.default_rng(1))
+    assert sampler._helper is None and wait_gone(pid)
+    runs = {}
+    for helper in (True, False):
+        graph, kind, store = setup()
+        ahead, patch = drawn_ahead()
+        with draws(helper), patch:
+            runs[helper] = epoch(kind, store, graph, 2), store_bytes(store), sum(ahead)
+    assert runs[True][:2] == runs[False][:2] and runs[True][2] == 13
+    assert sampler._helper[0] != pid
+
+
+def test_a_helper_whose_slots_are_too_small_is_replaced():
+    graph, kind, store = setup()
+    sampler._stop()
+    with draws(True), mock.patch.object(models, "_ROW_BLOCK", kind.negatives):
+        trainer.run_kge_epoch(kind, store, graph, graph.train[:20], LEARNING_RATE, 1,
+                              np.random.default_rng(0))  # forks a helper for batches of 1
+    pid = sampler._helper[0]
+    assert sampler._ring.shape[1] < sampler._slot_words(BATCH * kind.negatives)
+    runs = {}
+    for helper in (True, False):
+        graph, kind, store = setup()
+        ahead, patch = drawn_ahead()
+        with draws(helper), patch:
+            runs[helper] = epoch(kind, store, graph, 1), store_bytes(store), sum(ahead)
+    assert runs[True][:2] == runs[False][:2] and runs[True][2] == 13
+    assert sampler._helper[0] != pid and wait_gone(pid)
+
+
+def test_an_epoch_that_leaves_batches_untaken_stops_the_helper():
+    # The helper's tokens for the untaken batches would reach the next epoch.
+    graph, kind, store = setup()
+    with draws(True):
+        epoch(kind, store, graph, 0)
+        pid = sampler._helper[0]
+        rng = np.random.default_rng(1)
+        shuffled = graph.train[rng.permutation(len(graph.train))]
+        with sampler.epoch_batches(kind, graph, shuffled, BATCH, rng) as prepared:
+            next(prepared), next(prepared)
+    assert sampler._helper is None and wait_gone(pid)
+    runs = {}
+    for helper in (True, False):
+        graph, kind, store = setup()
+        ahead, patch = drawn_ahead()
+        with draws(helper), patch:
+            runs[helper] = epoch(kind, store, graph, 2), store_bytes(store), sum(ahead)
+    assert runs[True][:2] == runs[False][:2] and runs[True][2] == 13
 
 
 def test_a_process_with_other_threads_forks_no_helper():
@@ -283,7 +429,8 @@ def test_helper_receives_no_split_or_noise_label():
                                   BATCH, np.random.default_rng(0))
     finally:
         sampler._stop()
-    (index, shuffled, batch_size, count, bit_generator, state), = sent
+    (kind_sent, index, shuffled, batch_size, count, bit_generator, state), = sent
+    assert isinstance(kind_sent, ModelKind) and kind_sent == kind
     assert type(index) is PositiveIndex
     assert set(vars(index)) == {"n_entities", "n_relations", "positive_index", "_code_weights"}
     assert index.positive_index is graph.positive_index
@@ -342,6 +489,28 @@ def test_forked_child_forgets_the_helper():
                      and not models._drawing_ahead else 1)
     assert os.waitpid(pid, 0)[1] == 0
     assert sampler._helper is helper and not helper[1].closed
+
+
+def test_forked_child_forgets_the_mapping():
+    # The ring is a shared mapping: a child that reused it would have its
+    # own helper write into the parent's slots.
+    graph, kind, store = setup()
+    with draws(True):
+        epoch(kind, store, graph, 0)
+    ring, before = sampler._ring, sampler._ring.copy()
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            forgot = sampler._ring is None
+            with draws(True):
+                epoch(kind, store, graph, 1)
+            status = 0 if forgot and sampler._ring is not ring else 1
+        finally:
+            sampler._stop()
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert sampler._ring is ring and np.array_equal(ring, before)
 
 
 SCRIPT = textwrap.dedent("""

@@ -154,6 +154,70 @@ def test_warmup_deterministic():
     assert np.array_equal(a.v, b.v)
 
 
+def reference_mimic(graph, store, params, config):
+    """The score-mimic fit one relation at a time: the reference for the
+    lockstep groups."""
+    from scipy.special import expit
+
+    from kgedenoise.agent import policy_states
+    kind = store.kind
+    for r in range(graph.n_relations):
+        positions = graph.relation_positions(r)
+        if len(positions) == 0:
+            continue
+        triples = graph.train[positions]
+        heads, tails = store.entities[triples[:, 0]], store.entities[triples[:, 2]]
+        zeros = np.zeros_like(heads)
+        states = policy_states(models.relation_features(kind, store, np.array([r]))[0],
+                               heads, tails, zeros, zeros)
+        scores = models.score_batch(kind, store, triples)
+        keep = (scores >= np.quantile(scores, config.agent_mimic_quantile)).astype(np.float64)
+        v = params.v[r].copy()
+        m = np.zeros_like(v)
+        s2 = np.zeros_like(v)
+        for step in range(1, config.agent_mimic_steps + 1):
+            grad = states.T @ (keep - expit(states @ v)) / len(keep) - 2e-5 * v
+            m = 0.9 * m + 0.1 * grad
+            s2 = 0.999 * s2 + 0.001 * grad * grad
+            v += 0.02 * (m / (1.0 - 0.9 ** step)) / (np.sqrt(s2 / (1.0 - 0.999 ** step)) + 1e-8)
+        params.v[r] = v * config.agent_mimic_sharpness
+
+
+@pytest.mark.parametrize("model", ["transe", "rotate"])
+@pytest.mark.parametrize("budget", [1, 10_000, 1 << 20, 1 << 30])
+def test_grouped_mimic_fit_is_bitwise_the_per_relation_fit(model, budget):
+    # Relation 2 has no train triple; the others hold 1 to 30, whose states
+    # take 320 (TransE) or 640 (RotatE) bytes a triple.
+    rng = np.random.default_rng(4)
+    train = [(int(rng.integers(40)), r, int(rng.integers(40)))
+             for r, count in ((0, 30), (1, 1), (3, 12), (4, 25)) for _ in range(count)]
+    graph = make_graph(train, [(0, 2, 1)], [(1, 2, 0)], n_entities=40, n_relations=5)
+    config = small_config(model=model, agent_mimic_steps=40, agent_mimic_sharpness=3.0)
+    store = pretrain_kge(graph, model_kind(config), config).store
+    runs = []
+    for fit in (trainer.mimic_score_filter, reference_mimic):
+        params = PolicyParams.zeros("strl", 1, graph.n_relations, state_dim_for(store))
+        start = np.random.default_rng(5).normal(size=params.v.shape)
+        params.v[:] = start
+        groups = []
+        real = trainer._fit_mimic
+
+        def recording(*args):
+            groups.append(list(args[-1]))
+            return real(*args)
+
+        with mock.patch.object(trainer, "_MIMIC_GROUP_BYTES", budget), \
+                mock.patch.object(trainer, "_fit_mimic", recording):
+            fit(graph, store, params, config)
+        runs.append((params.v.copy(), groups))
+    (v, groups), (expected, _) = runs
+    assert np.array_equal(v.view(np.uint64), expected.view(np.uint64))
+    assert np.array_equal(v[2], start[2]) and not np.array_equal(v[0], start[0])
+    middle = [[0, 1], [3], [4]] if model == "transe" else [[0], [1, 3], [4]]
+    assert groups == {1: [[0], [1], [3], [4]], 10_000: middle,
+                      1 << 20: [[0, 1, 3, 4]], 1 << 30: [[0, 1, 3, 4]]}[budget]
+
+
 def test_reward_baseline_centering():
     baselines = RewardBaselines(decay=0.5)
     assert baselines.advantage(0, -2.0) == 0.0          # first visit seeds the mean
