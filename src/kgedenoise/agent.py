@@ -147,7 +147,7 @@ def sample_trajectory(params: PolicyParams, clusters: RelationClusters | None,
     order = rng.permutation(n)
     uniforms = rng.random(n)
 
-    rel_feat = relation_features(store.kind, store, np.array([relation]))[0]
+    rel_feat = relation_features(store, np.array([relation]))[0]
     heads = store.entities[triples[order, 0]]
     tails = store.entities[triples[order, 2]]
 

@@ -21,7 +21,8 @@ from . import clustering, experiments, noise, trainer
 from .config import MODELS, MODES, TrainConfig, parse_config, write_config
 from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
-from .graph import load_flags, load_graph_dir, relation_groups, write_flags, write_triples
+from .graph import (SPLITS, load_flags, load_graph_dir, relation_groups, write_flags,
+                    write_triples)
 from .models import load_store, relation_features, save_store, score_batch, set_max_threads
 from .noise import make_classification_negatives
 from .seeding import seed_for
@@ -61,9 +62,8 @@ def cmd_inject_noise(args) -> int:
     graph = load_graph_dir(args.in_dir)
     noisy = noise.inject_noise(graph, args.rate, args.seed)
     _create_dir(args.out_dir)
-    write_triples(os.path.join(args.out_dir, "train.txt"), noisy, noisy.train)
-    write_triples(os.path.join(args.out_dir, "valid.txt"), noisy, noisy.valid)
-    write_triples(os.path.join(args.out_dir, "test.txt"), noisy, noisy.test)
+    for split in SPLITS:
+        write_triples(os.path.join(args.out_dir, f"{split}.txt"), noisy, getattr(noisy, split))
     write_flags(os.path.join(args.out_dir, "noise_labels.tsv"), noisy.train_labels)
     print(f"wrote noisy split with {int(noisy.train_labels.sum())} injected triples "
           f"to {args.out_dir}")
@@ -75,7 +75,7 @@ def cmd_cluster(args) -> int:
     store = load_store(args.checkpoint)
     if store.n_relations != graph.n_relations:
         raise DataError("checkpoint relation count does not match the data directory")
-    features = relation_features(store.kind, store, np.arange(store.n_relations))
+    features = relation_features(store, np.arange(store.n_relations))
     clusters = clustering.kmeans(features, args.k, args.seed)
     _create_dir(os.path.dirname(os.path.abspath(args.out)))
     clustering.save_clusters(args.out, clusters, graph.relation_vocab)

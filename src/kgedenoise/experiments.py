@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import agent as agent_mod
 from .atomic import atomic_write
@@ -30,9 +30,9 @@ from .trainer import (JointResult, joint_train, model_kind, pretrain_kge,
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class SyntheticPreset:
-    name: str
+    config: TrainConfig
     grid_x: int = 20
     grid_y: int = 10
     n_relations: int = 20
@@ -41,7 +41,6 @@ class SyntheticPreset:
     test_per_relation: int = 10
     noise_rate: float = 0.1
     mode: str = "strl"
-    config: TrainConfig = field(default_factory=TrainConfig)
 
 
 def _synthetic_config(**overrides) -> TrainConfig:
@@ -58,11 +57,10 @@ def _synthetic_config(**overrides) -> TrainConfig:
 
 
 PRESETS: dict[str, SyntheticPreset] = {
-    "synthetic-n1": SyntheticPreset(name="synthetic-n1", config=_synthetic_config()),
-    "synthetic-n1-mtrl": SyntheticPreset(name="synthetic-n1-mtrl", mode="mtrl",
-                                         config=_synthetic_config()),
+    "synthetic-n1": SyntheticPreset(config=_synthetic_config()),
+    "synthetic-n1-mtrl": SyntheticPreset(mode="mtrl", config=_synthetic_config()),
     "synthetic-tiny": SyntheticPreset(
-        name="synthetic-tiny", grid_x=8, grid_y=5, n_relations=4,
+        grid_x=8, grid_y=5, n_relations=4,
         train_per_relation=12, valid_per_relation=3, test_per_relation=3,
         config=_synthetic_config(dim=8, pretrain_epochs=5, episodes=2,
                                  agent_warmup_episodes=2, batch_size=32),
@@ -78,8 +76,9 @@ FULLSCALE_CONFIG = TrainConfig(
 )
 
 
-def evaluate_store(kind, store, graph: KnowledgeGraph, negatives, mask) -> dict:
+def evaluate_store(store, graph: KnowledgeGraph, negatives, mask) -> dict:
     """Noise F1, filtered ranking, and classification on the run's one ``negatives`` set."""
+    kind = store.kind
     lp = link_prediction(kind, store, graph)
     cls = triple_classification(kind, store, *negatives)
     out = {
@@ -102,12 +101,12 @@ def _plain_and_agents(graph: KnowledgeGraph, kind, config: TrainConfig,
     or mtrl, the selection agents; and the joint result (None otherwise)."""
     logger.info("seed %d: plain baseline", config.seed)
     plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(config.seed, "plain")))
-    models = {"plain": evaluate_store(kind, plain.store, graph, negatives, None)}
+    models = {"plain": evaluate_store(plain.store, graph, negatives, None)}
     if config.mode not in agent_mod.MODES:
         return models, None
     logger.info("seed %d: selection agents (%s)", config.seed, config.mode)
     joint = joint_train(graph, kind, config.mode, config.replace(seed=seed_for(config.seed, "joint")))
-    models[config.mode] = evaluate_store(kind, joint.store, graph, negatives, joint.mask)
+    models[config.mode] = evaluate_store(joint.store, graph, negatives, joint.mask)
     return models, joint
 
 
@@ -131,7 +130,7 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
     negatives = make_classification_negatives(graph, seed_for(seed, "class-negatives"))
 
     report: dict = {
-        "preset": preset.name,
+        "preset": preset_name,
         "seed": seed,
         "graph": {
             "entities": graph.n_entities,
@@ -148,7 +147,7 @@ def run_synthetic_experiment(preset_name: str, seed: int) -> dict:
     logger.info("seed %d: score-filter baseline", seed)
     xscore_cfg = config.replace(seed=seed_for(seed, "xscore"))
     xscore = xscore_baseline(graph, kind, config.delta, xscore_cfg)
-    report["models"]["xscore"] = evaluate_store(kind, xscore.store, graph, negatives, xscore.mask)
+    report["models"]["xscore"] = evaluate_store(xscore.store, graph, negatives, xscore.mask)
     report["models"]["xscore"]["pretrain_score_sweep_f1"] = noise_detection_f1(
         xscore.pretrain_scores, labels)
 

@@ -81,9 +81,6 @@ class Vocabulary:
     def name_of(self, idx: int) -> str:
         return self.names[idx]
 
-    def __contains__(self, name: str) -> bool:
-        return name in self._ids
-
     def __len__(self) -> int:
         return len(self.names)
 
@@ -214,8 +211,6 @@ class KnowledgeGraph:
         return (int(head) * self.n_relations + int(relation)) * self.n_entities + int(tail)
 
     def encode_array(self, triples: np.ndarray) -> np.ndarray:
-        if len(triples) == 0:
-            return np.zeros(0, dtype=np.int64)
         return triples @ self._code_weights
 
     def _sorted_codes(self, *blocks: np.ndarray) -> np.ndarray:
@@ -348,9 +343,9 @@ def load_graph(train_path, valid_path, test_path) -> KnowledgeGraph:
     return KnowledgeGraph(
         entity_vocab,
         relation_vocab,
-        _as_triple_array(train_rows),
-        _as_triple_array(valid_rows),
-        _as_triple_array(test_rows),
+        train_rows,
+        valid_rows,
+        test_rows,
         load_report=report,
     )
 

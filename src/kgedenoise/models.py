@@ -24,8 +24,11 @@ Each model kind is a frozen dataclass of its hyperparameters that also
 carries its own code: entity row width, relation init range, checkpoint
 fields, row scorer and the context it takes once per call, loss body,
 relation-feature lift and entity projection. The functions below read the
-kind and never branch on it. One-vs-all scoring is ``score_batch`` over
-the (|E|, 3) candidate rows, so it has the bits of triple scoring.
+kind and never branch on it. A new kind touches four places: its class,
+its name in ``config.MODELS``, its config-to-class step in
+``trainer.model_kind`` and its kind code in ``_kind_from_fields``.
+One-vs-all scoring is ``score_batch`` over the (|E|, 3) candidate rows, so
+it has the bits of triple scoring.
 
 Entity and relation rows of one width (TransE, DistMult) share one
 (|E|+|R|, d) table of parameters and one per Adam moment, relation r at row
@@ -221,10 +224,10 @@ def score_all_heads(kind: ModelKind, store: EmbeddingStore, relation: int, tail:
     return score_batch(kind, store, candidates)
 
 
-def relation_features(kind: ModelKind, store: EmbeddingStore, relations: np.ndarray) -> np.ndarray:
+def relation_features(store: EmbeddingStore, relations: np.ndarray) -> np.ndarray:
     """Relation rows lifted to the entity row width, as agent states and
     relation clustering read them."""
-    return kind.lift_relations(store.relations[np.asarray(relations, dtype=np.int64)])
+    return store.kind.lift_relations(store.relations[np.asarray(relations, dtype=np.int64)])
 
 
 # -- negative sampling -----------------------------------------------------------

@@ -68,12 +68,11 @@ def epoch_batches(kind, graph, shuffled, batch_size: int, rng):
     where ``loss_and_grad`` is to draw or plan it; ``shuffled`` holds the
     epoch's triples in batch order. A batch's arrays may be views of the
     helper's ring, valid until the next batch is taken."""
-    rows = batch_size * kind.negatives
     conn = None
-    if (batch_size < len(shuffled) and rows <= models._ROW_BLOCK
+    if (batch_size < len(shuffled) and batch_size * kind.negatives <= models._ROW_BLOCK
             and models._step_threads() > 1 and models.corrupt_batch is corrupt_batch
             and _busy.acquire(blocking=False)):
-        conn = _connection(_slot_words(rows))
+        conn = _connection()
         if conn is None:
             _busy.release()
     if conn is None:
@@ -152,10 +151,11 @@ def _read(slot):
     return slot[_HEADER:_HEADER + 3 * rows].reshape(rows, 3), tuple(plan)
 
 
-def _connection(words: int):
-    """The pipe to a live helper whose slots hold ``words`` words, forked
-    with its ring if need be, or None."""
+def _connection():
+    """The pipe to a live helper whose slots hold a batch of ``_ROW_BLOCK``
+    negatives, forked with its ring if need be, or None."""
     global _helper, _ring
+    words = _slot_words(models._ROW_BLOCK)
     if _helper is not None:
         pid, conn = _helper
         with contextlib.suppress(ChildProcessError):
@@ -168,7 +168,6 @@ def _connection(words: int):
             _helper = None
     if threading.active_count() > 1:
         return None
-    words = max(words, _slot_words(models._ROW_BLOCK))
     ring = np.frombuffer(mmap.mmap(-1, _SLOTS * words * 8), np.intp).reshape(_SLOTS, words)
     parent_end, child_end = Pipe()
     pid = os.fork()

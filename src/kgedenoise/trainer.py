@@ -132,7 +132,7 @@ def pretrain_kge(graph: KnowledgeGraph, kind: ModelKind, config: TrainConfig, *,
 def relation_clusters(store: EmbeddingStore, config: TrainConfig,
                       seed: int | None = None) -> RelationClusters:
     """Cluster pretrained relation rows (phases lifted to the unit circle)."""
-    features = relation_features(store.kind, store, np.arange(store.n_relations))
+    features = relation_features(store, np.arange(store.n_relations))
     k = min(config.clusters_k, store.n_relations)
     if seed is None:
         seed = seed_for(config.seed, "clusters")
@@ -210,7 +210,7 @@ def _fit_mimic(graph: KnowledgeGraph, store: EmbeddingStore, params: PolicyParam
         triples = graph.train[graph.relation_positions(r)]
         heads, tails = store.entities[triples[:, 0]], store.entities[triples[:, 2]]
         zeros = np.zeros_like(heads)  # episode start: no selected-so-far means yet
-        states = policy_states(relation_features(kind, store, np.array([r]))[0], heads, tails,
+        states = policy_states(relation_features(store, np.array([r]))[0], heads, tails,
                                zeros, zeros)
         scores = score_batch(kind, store, triples)
         fits.append((states, (scores >= np.quantile(scores, config.agent_mimic_quantile))

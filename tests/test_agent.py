@@ -33,7 +33,7 @@ def small_store(dim=2, kind=TransE("l1")):
 def triple_states(store, relation, triples, mean_heads, mean_tails):
     """``policy_states`` for the rows of ``triples`` under ``store``."""
     triples = np.asarray(triples).reshape(-1, 3)
-    rel_feat = relation_features(store.kind, store, np.array([relation]))[0]
+    rel_feat = relation_features(store, np.array([relation]))[0]
     return policy_states(rel_feat, store.entities[triples[:, 0]],
                          store.entities[triples[:, 2]], mean_heads, mean_tails)
 

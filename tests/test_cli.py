@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from kgedenoise import experiments, models
+from kgedenoise import models
 from kgedenoise.cli import run
 from kgedenoise.config import TrainConfig, format_config, parse_config, write_config
 from kgedenoise.errors import DataError
 from kgedenoise.evaluation import link_prediction
-from kgedenoise.graph import load_graph_dir, write_triples
+from kgedenoise.experiments import PRESETS
+from kgedenoise.graph import SPLITS, load_graph_dir, write_triples
 from kgedenoise.models import TransE, init_embeddings, load_store, save_store
+from kgedenoise.seeding import seed_for
+from kgedenoise.synth import generate_shift_graph
 
 
 @pytest.fixture
@@ -249,13 +252,6 @@ def test_experiment_preset_smoke(tmp_path):
     assert {"plain", "strl", "xscore", "xscore_matched"} <= set(report["models"])
 
 
-def test_preset_default_config_is_fresh_default():
-    first = experiments.SyntheticPreset(name="x")
-    second = experiments.SyntheticPreset(name="y")
-    assert first.config == TrainConfig()
-    assert first.config is not second.config
-
-
 @pytest.mark.parametrize("command, args", [
     ("inject-noise", ["--rate", "0.25", "--in", "{data}", "--out", "{out}"]),
     ("cluster", ["--checkpoint", "{ckpt}", "--data", "{data}", "--k", "2", "--out", "{out}"]),
@@ -447,6 +443,41 @@ def test_evaluate_forged_checkpoint_exits_two(data_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "data error:" in err and "Traceback" not in err
+
+
+def test_cluster_checkpoint_of_another_relation_count_exits_two(data_dir, tmp_path, capsys):
+    ckpt = tmp_path / "three-relations.ckpt"
+    save_store(ckpt, init_embeddings(8, 3, 4, TransE(), seed=0))  # the data has 2 relations
+    out = tmp_path / "clusters.tsv"
+    code = run(["cluster", "--checkpoint", str(ckpt), "--data", str(data_dir), "--k", "2",
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "data error: checkpoint relation count does not match the data directory" in err
+    assert "Traceback" not in err and not out.exists()
+
+
+def test_diverging_pretraining_exits_three(tmp_path, capsys):
+    preset = PRESETS["synthetic-tiny"]
+    clean = generate_shift_graph(
+        grid_x=preset.grid_x, grid_y=preset.grid_y, n_relations=preset.n_relations,
+        train_per_relation=preset.train_per_relation,
+        valid_per_relation=preset.valid_per_relation,
+        test_per_relation=preset.test_per_relation, seed=seed_for(7, "synthgraph"))
+    data = tmp_path / "data"
+    data.mkdir()
+    for split in SPLITS:
+        write_triples(data / f"{split}.txt", clean, getattr(clean, split))
+    config = config_file(tmp_path, model="distmult", dim=8, batch_size=16, pretrain_epochs=5,
+                         learning_rate=1e300)
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(data), "--mode", "plain", "--config", str(config),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines()[-1].startswith(
+        "numeric failure: pre-training diverged at epoch 0: ")
+    assert "Traceback" not in err and not (out / "model.ckpt").exists()
 
 
 def test_config_round_trip(tmp_path):

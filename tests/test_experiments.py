@@ -32,10 +32,10 @@ def test_file_experiment_equals_the_stages_run_by_hand(tiny_dir, mode):
     negatives = make_classification_negatives(graph, seed_for(5, "class-negatives"))
     kind = model_kind(config)
     plain = pretrain_kge(graph, kind, config.replace(seed=seed_for(5, "plain")))
-    models = {"plain": evaluate_store(kind, plain.store, graph, negatives, None)}
+    models = {"plain": evaluate_store(plain.store, graph, negatives, None)}
     if mode != "plain":
         joint = joint_train(graph, kind, mode, config.replace(seed=seed_for(5, "joint")))
-        models[mode] = evaluate_store(kind, joint.store, graph, negatives, joint.mask)
+        models[mode] = evaluate_store(joint.store, graph, negatives, joint.mask)
 
     assert report == {"data_dir": str(tiny_dir), "noise_rate": 0.2, "models": models}
     assert set(report["models"]) == ({"plain"} if mode == "plain" else {"plain", mode})

@@ -59,8 +59,8 @@ def test_eval_only_entities_flagged(tmp_path, valid, test, entities, relations):
     assert graph.load_report.eval_only_relations == relations
     for line in valid + test:
         head, rel, tail = line.split("\t")
-        assert head in graph.entity_vocab and tail in graph.entity_vocab
-        assert rel in graph.relation_vocab
+        assert head in graph.entity_vocab.names and tail in graph.entity_vocab.names
+        assert rel in graph.relation_vocab.names
 
 
 def test_vocab_ids_first_appearance_order(tmp_path):

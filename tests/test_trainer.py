@@ -168,7 +168,7 @@ def reference_mimic(graph, store, params, config):
         triples = graph.train[positions]
         heads, tails = store.entities[triples[:, 0]], store.entities[triples[:, 2]]
         zeros = np.zeros_like(heads)
-        states = policy_states(models.relation_features(kind, store, np.array([r]))[0],
+        states = policy_states(models.relation_features(store, np.array([r]))[0],
                                heads, tails, zeros, zeros)
         scores = models.score_batch(kind, store, triples)
         keep = (scores >= np.quantile(scores, config.agent_mimic_quantile)).astype(np.float64)
