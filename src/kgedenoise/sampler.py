@@ -9,25 +9,26 @@ are two or more step threads, of which the helper takes one;
 ``models.corrupt_batch`` is not replaced, as by a tracer that counts every
 draw in the caller; no other thread's epoch holds the helper; and the helper
 lives, or the process has one thread to fork it from (a fork copies the
-locks other threads hold). Otherwise ``loss_and_grad`` draws and plans.
+locks other threads hold) and ``sem_open`` works. Otherwise ``loss_and_grad``
+draws and plans.
 
-The caller draws the first batch; the helper makes the other batches'
-``corrupt_batch`` and ``plan`` calls from the caller's generator state, in
-order, and writes each into the next of ``_SLOTS`` slots of a ring in an
-anonymous shared mapping made before the fork, sized for batches of
-``_ROW_BLOCK`` negatives (53 words a row: 2.6 MB at 384, of which only the
-pages a batch writes become resident). The caller reads a batch as views
-of its slot. The pipe carries the pickled epoch job, one-byte tokens of
-batches ready (to the caller) and of slots free again (to the helper), and
-the pickled final generator state, which the caller's generator adopts, or
-the exception a draw raised, raised again in the caller: every bit is as
-inline. After an epoch that raised, the generator's state is unspecified.
-
-The parent stops the helper at exit and after an epoch that raised or left
-a batch untaken; a helper that dies mid-epoch ends the caller's wait with
-``EOFError`` or a broken pipe. The helper holds no copy of the parent's
-pipe end, so it exits at end of file if the parent dies, and a process
-forked from the parent forgets the helper and its mapping.
+The caller draws the first batch, and the helper the others with their
+plans, from the caller's generator state into a shared mapping made before
+the fork, of ``_SLOTS`` slots for ``_ROW_BLOCK`` negatives, which each epoch
+cuts into as many slots as fit its batch (190 for 32 TransE negatives). Two
+fork-context semaphores, which start no resource tracker, hand slots over
+with no system call while the helper is ahead: ``ready`` counts batches
+written, ``free`` slots to write again and, ``_ASK_AHEAD`` batches before the
+end, the ask for the final generator state. Until the helper has written the
+batch it wants, the caller draws it itself, but not the last; then it reads
+each batch as views of its slot. The pipe carries the pickled job, then the
+final state, which the caller's generator adopts, or a draw's exception,
+raised again in the caller: every bit is as inline (after an exception, the
+generator's state is unspecified). The parent stops the helper at exit and
+after an epoch that raised or left a batch untaken. Each side waits in
+``_POLL`` steps, looking at the pipe between them: a helper that dies before
+the ask makes the epoch raise ``EOFError``, and one whose parent died exits.
+A process forked from the parent forgets the helper, mapping and semaphores.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ import atexit
 import contextlib
 import itertools
 import mmap
+import multiprocessing
 import os
-import pickle
 import signal
 import threading
-from multiprocessing import Pipe
 
 import numpy as np
 
@@ -48,11 +48,14 @@ from . import models
 from .graph import PositiveIndex
 from .models import corrupt_batch
 
-_SLOTS = 16  # batches the helper may run ahead of the caller
+_SLOTS = 16  # the ring's slots for batches of ``_ROW_BLOCK`` negatives
 _HEADER = 16  # words of a slot's header: 3, and 3 per gradient table
+_POLL = 0.1  # seconds between looks at the pipe while a semaphore is held off
+_ASK_AHEAD = 4  # the caller asks for the final state with the epoch's 4th batch from the end
 
 _helper = None  # (pid, the parent's end of the pipe) once forked
 _ring = None  # the helper's (_SLOTS, words) slots, in the mapping it shares
+_semaphores = None  # the helper's (ready, free) semaphores
 _busy = threading.Lock()  # held by the epoch the helper serves
 
 
@@ -60,6 +63,12 @@ def _slot_words(rows: int) -> int:
     # The header, 3 per negative, and a plan of at most 25 per triple and 2
     # more (RotatE), of which a batch of ``rows`` negatives holds at most 2 per negative.
     return _HEADER + 53 * rows + 2
+
+
+def _cut(ring, rows: int):
+    """The ring's mapping as the most slots that fit a batch of ``rows`` negatives."""
+    words = _slot_words(rows)
+    return ring.reshape(-1)[:ring.size // words * words].reshape(-1, words)
 
 
 @contextlib.contextmanager
@@ -80,13 +89,9 @@ def epoch_batches(kind, graph, shuffled, batch_size: int, rng):
         return
     models._drawing_ahead = True
     try:
-        first = corrupt_batch(graph, shuffled[:batch_size], rng, kind.negatives)
-        conn.send((kind, PositiveIndex(graph), shuffled[batch_size:], batch_size,
-                   kind.negatives, type(rng.bit_generator), rng.bit_generator.state))
-        batches = -(-len(shuffled) // batch_size)
-        prepared = itertools.chain([(first, None)], _received(conn, _ring, rng, batches - 1))
+        prepared = _received(conn, kind, graph, shuffled, batch_size, rng)
         yield prepared
-        if next(prepared, None) is not None:  # a batch left untaken: its tokens would stay
+        if next(prepared, None) is not None:  # a batch left untaken: the counts would not balance
             _stop()
     except BaseException:
         _stop()
@@ -96,30 +101,39 @@ def epoch_batches(kind, graph, shuffled, batch_size: int, rng):
         _busy.release()
 
 
-def _received(conn, ring, rng, batches: int):
-    """The helper's ``batches`` batches, read from the ring in order."""
-    wanted = max(0, batches - _SLOTS)  # slots the helper reuses this epoch
-    ready = freed = 0
-    for j in range(batches):
-        # Slots of the batches before j are free again: hand them back in
-        # groups of half the ring, and the last ones at once. A full ring's
-        # tokens announce all but its last group of at most half the ring, so
-        # the helper never waits for a slot while the caller waits for a batch.
-        spare = min(j, wanted) - freed
-        if spare and (2 * spare >= _SLOTS or j >= wanted):
-            conn.send_bytes(bytes([spare]))
-            freed += spare
-        while j == ready:
-            message = conn.recv_bytes()
-            if len(message) == 1:
-                ready += message[0]
-                continue
-            message = pickle.loads(message)
-            if isinstance(message, Exception):
-                raise message
-            rng.bit_generator.state = message  # the epoch's last message
-            ready = batches
-        yield _read(ring[j % _SLOTS])
+def _received(conn, kind, graph, shuffled, batch_size: int, rng):
+    """The epoch's batches: drawn here, but the last, until the helper has written
+    the one wanted, then read from its ring; then its final state is adopted."""
+    count = kind.negatives
+    first = corrupt_batch(graph, shuffled[:batch_size], rng, count)
+    conn.send((kind, PositiveIndex(graph), shuffled[batch_size:], batch_size, count,
+               type(rng.bit_generator), rng.bit_generator.state))
+    yield first, None
+    (ready, free), ring = _semaphores, _cut(_ring, batch_size * count)
+    starts = range(batch_size, len(shuffled), batch_size)
+    reused = max(0, len(starts) - len(ring))  # batches the helper writes into a used slot
+    ask = max(reused, len(starts) - _ASK_AHEAD)  # the batch that gives the last free, the ask
+    taken, drawing = 0, True  # readies taken; whether every batch so far was drawn here
+    for j, start in enumerate(starts):
+        for _ in range((0 < j <= reused) + (j == ask)):  # batch j - 1's slot; the last free
+            free.release()
+        while drawing and taken <= j and ready.acquire(False):
+            taken += 1
+        if drawing and taken <= j < len(starts) - 1:  # batch j is not written yet, nor the last
+            yield corrupt_batch(graph, shuffled[start:start + batch_size], rng, count), None
+            continue
+        drawing = False
+        while taken <= j:
+            _acquire(ready, conn)
+            taken += 1
+        slot = ring[j % len(ring)]
+        if slot[0] < 0:  # the helper's draw raised
+            raise conn.recv()
+        yield _read(slot)
+    message = conn.recv()
+    if isinstance(message, Exception):
+        raise message
+    rng.bit_generator.state = message
 
 
 def _write(slot, negatives, plan) -> None:
@@ -151,10 +165,17 @@ def _read(slot):
     return slot[_HEADER:_HEADER + 3 * rows].reshape(rows, 3), tuple(plan)
 
 
+def _acquire(semaphore, conn) -> None:
+    """Take ``semaphore``; raise what the peer sent, or EOFError once it has gone."""
+    while not semaphore.acquire(timeout=_POLL):
+        if conn.poll() and not semaphore.acquire(False):
+            raise conn.recv()
+
+
 def _connection():
     """The pipe to a live helper whose slots hold a batch of ``_ROW_BLOCK``
-    negatives, forked with its ring if need be, or None."""
-    global _helper, _ring
+    negatives, forked with its ring and semaphores if need be, or None."""
+    global _helper, _ring, _semaphores
     words = _slot_words(models._ROW_BLOCK)
     if _helper is not None:
         pid, conn = _helper
@@ -168,23 +189,27 @@ def _connection():
             _helper = None
     if threading.active_count() > 1:
         return None
+    try:
+        semaphores = tuple(multiprocessing.get_context("fork").Semaphore(0) for _ in "rf")
+    except (ImportError, OSError):  # no sem_open, or no /dev/shm to make one in
+        return None
     ring = np.frombuffer(mmap.mmap(-1, _SLOTS * words * 8), np.intp).reshape(_SLOTS, words)
-    parent_end, child_end = Pipe()
+    parent_end, child_end = multiprocessing.Pipe()
     pid = os.fork()
     if pid == 0:
         try:
             parent_end.close()  # else the helper would hold its own end of file off
-            _serve(child_end, ring)  # the at-fork hook has forgotten _ring here
+            _serve(child_end, ring, *semaphores)  # the at-fork hook has forgotten both here
         finally:
             os._exit(0)
     child_end.close()
-    _helper, _ring = (pid, parent_end), ring
+    _helper, _ring, _semaphores = (pid, parent_end), ring, semaphores
     return parent_end
 
 
-def _serve(conn, ring) -> None:
+def _serve(conn, ring, ready, free) -> None:
     """The helper's loop: one epoch's batches per job, until end of file or
-    until a draw raises, which it sends back."""
+    until a draw raises, which it marks in the batch's slot and sends back."""
     while True:
         try:
             kind, index, shuffled, batch_size, count, bit_generator, state = conn.recv()
@@ -192,33 +217,33 @@ def _serve(conn, ring) -> None:
             return
         rng = np.random.Generator(bit_generator())
         rng.bit_generator.state = state
-        starts = range(0, len(shuffled), batch_size)
-        free, ready, limit = _SLOTS, 0, 1
+        slots = _cut(ring, batch_size * count)
         try:
-            for j, start in enumerate(starts):
+            for j, start in enumerate(range(0, len(shuffled), batch_size)):
+                slot = slots[j % len(slots)]
+                if j >= len(slots):
+                    _acquire(free, conn)
                 positives = shuffled[start:start + batch_size]
                 negatives = corrupt_batch(index, positives, rng, count)
-                plan = kind.plan(positives, negatives, index.n_entities, index.n_relations)
-                while not free:
-                    free += conn.recv_bytes()[0]
-                _write(ring[j % _SLOTS], negatives, plan)
-                free, ready = free - 1, ready + 1
-                if ready == limit and start != starts[-1]:
-                    conn.send_bytes(bytes([ready]))
-                    ready, limit = 0, min(2 * limit, _SLOTS // 2)
+                _write(slot, negatives,
+                       kind.plan(positives, negatives, index.n_entities, index.n_relations))
+                ready.release()
+            _acquire(free, conn)  # the caller asks for the final state
         except EOFError:
             return
         except Exception as exc:  # raised again in the caller
+            slot[0] = -1
             conn.send(exc)
+            ready.release()
             return
         conn.send(rng.bit_generator.state)
 
 
 def _stop() -> None:
-    """End the helper, if there is one, reap it and drop its ring."""
-    global _helper, _ring
+    """End the helper, if there is one, reap it and drop its ring and semaphores."""
+    global _helper, _ring, _semaphores
     if _helper is not None:
-        (pid, conn), _helper, _ring = _helper, None, None
+        (pid, conn), _helper, _ring, _semaphores = _helper, None, None, None
         conn.close()
         with contextlib.suppress(ProcessLookupError, ChildProcessError):
             os.kill(pid, signal.SIGKILL)
@@ -226,12 +251,12 @@ def _stop() -> None:
 
 
 def _forget_helper() -> None:
-    """In a forked child: the helper and its ring serve the parent alone, and
-    the helper must still read end of file when the parent ends."""
-    global _helper, _ring, _busy
+    """In a forked child: the helper, its ring and its semaphores serve the
+    parent alone, and the helper must still read end of file when the parent ends."""
+    global _helper, _ring, _semaphores, _busy
     if _helper is not None:
         _helper[1].close()
-    _helper, _ring, _busy = None, None, threading.Lock()
+    _helper, _ring, _semaphores, _busy = None, None, None, threading.Lock()
     models._drawing_ahead = False
 
 

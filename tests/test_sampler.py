@@ -4,6 +4,7 @@ benchmark's tracer and checks rely on, and no helper left behind by its
 parent or waited for after it died."""
 
 import contextlib
+import errno
 import os
 import signal
 import subprocess
@@ -193,6 +194,19 @@ def test_epochs_of_more_batches_than_slots_are_bitwise_inline(model, norm, slots
     assert (runs[True][2], runs[False][2]) == (100, 0)
 
 
+@CASES
+def test_a_ring_of_two_slots_wraps_bitwise_inline(model, norm):
+    # A mapping of two slots of exactly one batch: the helper writes each
+    # slot six times an epoch, each time waiting for the caller to free it.
+    graph, kind, _ = setup(model, norm)
+    rows = BATCH * kind.negatives
+    with mock.patch.object(models, "_ROW_BLOCK", rows), mock.patch.object(sampler, "_SLOTS", 2):
+        runs, ring = runs_with_and_without_helper(kind, graph, BATCH, range(2), fresh_helper=True)
+    assert ring == (2, sampler._slot_words(rows))
+    assert runs[True][:2] == runs[False][:2]
+    assert (runs[True][2], runs[False][2]) == (26, 0)
+
+
 def test_only_batches_of_one_row_block_are_drawn_ahead():
     graph, kind, store = setup()
     for row_block, expected in ((BATCH * kind.negatives, 13), (BATCH * kind.negatives - 1, 0)):
@@ -374,6 +388,128 @@ def test_a_draw_that_raises_in_the_helper_is_raised_in_the_caller():
         sampler._stop()
 
 
+@contextlib.contextmanager
+def draw_patched(draw):
+    """``draw`` as the draw in both modules, where it counts as not replaced,
+    in a helper forked afresh; the helper is stopped at the end."""
+    sampler._stop()
+    try:
+        with mock.patch.object(models, "corrupt_batch", draw), \
+                mock.patch.object(sampler, "corrupt_batch", draw):
+            yield
+    finally:
+        sampler._stop()
+
+
+def test_a_draw_that_raises_on_the_helpers_last_batch_is_raised_in_the_caller():
+    # The caller reads the last batch from the ring, whoever drew the others,
+    # and finds its slot marked as failed, or the exception in the pipe.
+    graph, kind, store = setup()
+    caller, real, calls = os.getpid(), models.corrupt_batch, []
+
+    def failing_last_in_the_helper(*args, **kwargs):
+        if os.getpid() != caller:
+            calls.append(1)  # in the helper's copy of the list
+            if len(calls) == 12:
+                raise ValueError("last draw failed")
+        return real(*args, **kwargs)
+
+    with draws(True), deadline(30), draw_patched(failing_last_in_the_helper):
+        with pytest.raises(ValueError, match="last draw failed"):
+            epoch(kind, store, graph, 0)
+        assert sampler._helper is None
+
+
+def inline_runs(seeds):
+    """((mean loss, generator state) per epoch, store bytes) drawn inline."""
+    graph, kind, store = setup()
+    with draws(False):
+        return [epoch(kind, store, graph, seed) for seed in seeds], store_bytes(store)
+
+
+def test_a_helper_behind_the_caller_is_drawn_around_and_reused():
+    # The helper's draws wait until the caller has drawn the epoch's first 12
+    # batches itself. The caller frees their slots unread, waits for the
+    # helper's last batch, and the next epoch reuses the same helper.
+    graph, kind, store = setup()
+    caller, real = os.getpid(), models.corrupt_batch
+    held, release = os.pipe()
+    drawn, helpers = [], []
+
+    def held_in_the_helper(*args, **kwargs):
+        if os.getpid() != caller:
+            os.read(held, 1)
+        else:
+            drawn.append(1)
+            if len(drawn) % 12 == 0:
+                os.write(release, bytes(12))
+        return real(*args, **kwargs)
+
+    ahead, patch = drawn_ahead()
+    try:
+        with draws(True), patch, deadline(60), draw_patched(held_in_the_helper):
+            results = []
+            for seed in range(2):
+                results.append(epoch(kind, store, graph, seed))
+                helpers.append(sampler._helper[0])
+    finally:
+        os.close(held)
+        os.close(release)
+    assert (results, store_bytes(store)) == inline_runs(range(2))
+    assert len(drawn) == 24 and sum(ahead) == 26 and helpers[0] == helpers[1]
+
+
+def test_a_caller_behind_the_helper_reads_every_later_batch_from_the_ring():
+    # Each of the caller's steps waits until the helper has begun the batch
+    # after the next one, so the next one is written: the caller draws only
+    # the first batch of each epoch.
+    graph, kind, store = setup()
+    caller, real_draw, real_step = os.getpid(), models.corrupt_batch, trainer.loss_and_grad
+    begun, signal_end = os.pipe()
+    drawn, ahead = [], []
+
+    def signalling(*args, **kwargs):
+        if os.getpid() == caller:
+            drawn.append(1)
+        else:
+            os.write(signal_end, b"x")
+        return real_draw(*args, **kwargs)
+
+    def slowed(*args, negatives=None, **kwargs):
+        # The step on batch k of 13 waits until the helper has begun its draw
+        # k + 2 (of 12), so batch k + 1 is written: two signals before the
+        # first step, one before each of the next ten.
+        k = len(ahead) % 13
+        ahead.append(negatives is not None)
+        for _ in range(2 if k == 0 else 1 if k < 11 else 0):
+            os.read(begun, 1)
+        return real_step(*args, negatives=negatives, **kwargs)
+
+    try:
+        with draws(True), deadline(60), draw_patched(signalling), \
+                mock.patch.object(trainer, "loss_and_grad", slowed):
+            results = [epoch(kind, store, graph, seed) for seed in range(2)]
+    finally:
+        os.close(begun)
+        os.close(signal_end)
+    assert (results, store_bytes(store)) == inline_runs(range(2))
+    assert len(drawn) == 2 and sum(ahead) == 26
+
+
+def test_epochs_without_semaphores_draw_inline():
+    import _multiprocessing
+    import multiprocessing.synchronize  # noqa: F401 (imported before SemLock is patched)
+
+    graph, kind, store = setup()
+    sampler._stop()
+    ahead, patch = drawn_ahead()
+    with draws(True), patch, mock.patch.object(
+            _multiprocessing, "SemLock", side_effect=OSError(errno.ENOSYS, "no sem_open")) as made:
+        results = [epoch(kind, store, graph, seed) for seed in range(2)]
+    assert made.called and sampler._helper is None and sum(ahead) == 0
+    assert (results, store_bytes(store)) == inline_runs(range(2))
+
+
 # -- the calls the benchmark relies on ------------------------------------------------------
 
 
@@ -513,6 +649,29 @@ def test_forked_child_forgets_the_mapping():
     assert sampler._ring is ring and np.array_equal(ring, before)
 
 
+def test_forked_child_forgets_the_semaphores():
+    # A child that took or posted the parent's semaphores would take the
+    # parent's batches or free slots the parent still reads.
+    graph, kind, store = setup()
+    with draws(True):
+        epoch(kind, store, graph, 0)
+    semaphores = sampler._semaphores
+    pid = os.fork()
+    if pid == 0:
+        status = 1
+        try:
+            forgot = sampler._semaphores is None
+            with draws(True):
+                epoch(kind, store, graph, 1)
+            status = 0 if forgot and sampler._semaphores is not semaphores else 1
+        finally:
+            sampler._stop()
+            os._exit(status)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert sampler._semaphores is semaphores
+    assert not any(semaphore.acquire(False) for semaphore in semaphores)
+
+
 SCRIPT = textwrap.dedent("""
     import sys, time
     import numpy as np
@@ -551,3 +710,51 @@ def test_no_helper_outlives_its_parent(end):
         proc.stdout.close()
     assert proc.returncode == (-signal.SIGKILL if end == "sigkill" else 0)
     assert wait_gone(helper)
+
+
+BLOCKED_SCRIPT = textwrap.dedent("""
+    import time
+    import numpy as np
+    from kgedenoise import models, sampler, trainer
+    from kgedenoise.config import TrainConfig
+    from kgedenoise.graph import KnowledgeGraph, Vocabulary
+
+    models._usable_cpus = lambda: 2
+    models._ROW_BLOCK, sampler._SLOTS = 2, 2  # a ring of two slots for TransE batches of 2
+    train = np.array([(i, 0, (i + 1) % 20) for i in range(20)])
+    graph = KnowledgeGraph(Vocabulary(map(str, range(20))), Vocabulary(["r"]), train,
+                           train[:0], train[:0])
+    kind = trainer.model_kind(TrainConfig(model="transe", dim=4))
+    store = models.init_embeddings(20, 1, 4, kind, seed=0)
+
+    def held(*args, **kwargs):
+        # The caller's first step: the helper fills both slots and waits for
+        # a free one, which this caller never gives.
+        while sampler._semaphores[0].get_value() < 2:
+            time.sleep(0.01)
+        time.sleep(2 * sampler._POLL)
+        print(sampler._helper[0], flush=True)
+        time.sleep(60)
+
+    trainer.loss_and_grad = held
+    trainer.run_kge_epoch(kind, store, graph, train, 0.01, 2, np.random.default_rng(0))
+""")
+
+
+@needs_proc
+def test_a_helper_waiting_for_a_free_slot_exits_when_its_parent_is_killed():
+    src = str(Path(trainer.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen([sys.executable, "-c", BLOCKED_SCRIPT], stdout=subprocess.PIPE,
+                            env=env, text=True)
+    try:
+        helper = int(proc.stdout.readline())
+        assert not gone(helper)
+        os.kill(proc.pid, signal.SIGKILL)
+        proc.wait(timeout=60)
+    finally:
+        proc.kill()  # a no-op once it has exited
+        proc.wait()
+        proc.stdout.close()
+    assert proc.returncode == -signal.SIGKILL
+    assert wait_gone(helper, seconds=5.0)
