@@ -23,7 +23,7 @@ from .errors import DataError, NumericError, UsageError
 from .evaluation import link_prediction, noise_detection_f1, triple_classification
 from .graph import (SPLITS, load_flags, load_graph_dir, relation_groups, write_flags,
                     write_triples)
-from .models import load_store, relation_features, save_store, score_batch, set_max_threads
+from .models import load_store, relation_features, save_store, score_batch
 from .noise import make_classification_negatives
 from .seeding import seed_for
 
@@ -47,15 +47,6 @@ def _create_dir(directory) -> None:
         os.makedirs(directory, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot create directory {directory}: {exc.strerror}") from None
-
-
-def _apply_threads(count: int | None) -> None:
-    if count is None:
-        return
-    try:
-        set_max_threads(count)
-    except ValueError as exc:
-        raise UsageError(f"--threads: {exc}") from None
 
 
 def cmd_inject_noise(args) -> int:
@@ -188,11 +179,6 @@ def cmd_experiment(args) -> int:
 def build_parser() -> _Parser:
     parser = _Parser(prog="kgedenoise",
                      description="Noise-robust knowledge-graph embedding toolkit")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="cap the threads that run the training step's and scoring's "
-                             "chunks, and the process that draws negatives ahead "
-                             "(default and maximum: the usable CPUs); "
-                             "OPENBLAS_NUM_THREADS and OMP_NUM_THREADS cap BLAS")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("inject-noise", help="fuse labeled hard negatives into a train split")
@@ -243,7 +229,6 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_threads(args.threads)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -45,12 +45,9 @@ class SyntheticPreset:
 
 def _synthetic_config(**overrides) -> TrainConfig:
     base = dict(
-        model="transe", dim=32, norm="l1", margin=6.0,
-        batch_size=32, learning_rate=0.002, joint_learning_rate=0.0002,
-        pretrain_epochs=100, episodes=15, agent_warmup_episodes=5,
-        agent_learning_rate=0.001, agent_mimic_steps=3000, agent_mimic_quantile=0.1,
-        agent_mimic_sharpness=8.0, alpha=1.0, lambda1=0.001, lambda2=0.01,
-        relation_cap=5000, clusters_k=5, joint_kge_epochs=1, delta=0.1,
+        dim=32, margin=6.0, batch_size=32, learning_rate=0.002, joint_learning_rate=0.0002,
+        agent_learning_rate=0.001, agent_mimic_steps=3000, agent_mimic_sharpness=8.0,
+        alpha=1.0, clusters_k=5,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -68,12 +65,7 @@ PRESETS: dict[str, SyntheticPreset] = {
 }
 
 # FB15k-237-style recipe for the full-scale spot check; needs on-disk data.
-FULLSCALE_CONFIG = TrainConfig(
-    model="transe", dim=100, norm="l1", margin=1.0, batch_size=1024,
-    learning_rate=0.001, joint_learning_rate=0.0005, pretrain_epochs=100,
-    episodes=15, agent_warmup_episodes=5, agent_learning_rate=0.01,
-    alpha=0.05, lambda1=0.001, lambda2=0.01, clusters_k=120,
-)
+FULLSCALE_CONFIG = TrainConfig(clusters_k=120)
 
 
 def evaluate_store(store, graph: KnowledgeGraph, negatives, mask) -> dict:

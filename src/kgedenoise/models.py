@@ -73,7 +73,7 @@ freshly allocated, since they may outlive the next step.
 
 Threads. Every such loop hands its chunks to ``_run_chunks``, which runs
 them on a process-wide pool when there are two or more (the calling
-thread takes chunks too, and ``set_max_threads`` caps the threads) and
+thread takes chunks too, and the CPU affinity mask caps the threads) and
 inline otherwise, as at the synthetic preset's sizes. The calling thread
 alone draws every random number and plans every batch (``corrupt_batch``
 and ``plan``; ``sampler`` says when a helper process does both ahead for
@@ -314,7 +314,7 @@ def _row_chunks(n: int):
 # _helpers is 0 or None.
 _helpers: int | None = None
 _pool: ThreadPoolExecutor | None = None
-_max_threads: int | None = None  # set_max_threads's cap; None means every usable CPU
+_max_threads: int | None = None  # a cap that only tests set; None means every usable CPU
 _drawing_ahead = False  # while sampler's helper process draws, the pool lends it a thread
 _projecting = threading.Lock()  # held by adam_step around each call of project_entities
 
@@ -327,25 +327,15 @@ def _usable_cpus() -> int:
 
 
 def _step_threads() -> int:
-    """Threads that run chunks: the usable CPUs, capped by ``set_max_threads``."""
+    """Threads that run chunks: the CPUs in the process's affinity mask
+    (``taskset -c`` or ``os.sched_setaffinity`` caps them), or fewer under
+    ``_max_threads``.
+
+    ``sampler``'s helper process, which draws negatives ahead, counts as one
+    of the threads and starts only with two or more.
+    """
     cpus = _usable_cpus()
     return cpus if _max_threads is None else min(cpus, _max_threads)
-
-
-def set_max_threads(count: int | None) -> None:
-    """Cap the threads that run chunks at ``count`` (at least 1); None lifts the cap.
-
-    A count above the usable CPUs is clamped to them. The pool is rebuilt
-    on its next use. ``sampler``'s helper process, which draws negatives
-    ahead, counts as one of the threads and starts only under a cap of 2 or more.
-    """
-    global _max_threads
-    if count is not None and count < 1:
-        raise ValueError(f"thread count must be >= 1, got {count}")
-    _max_threads = count
-    if _pool is not None:
-        _pool.shutdown(wait=False)
-    _forget_pool()
 
 
 def _forget_pool() -> None:

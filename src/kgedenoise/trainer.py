@@ -86,12 +86,15 @@ def _normalize_entity_rows(block: np.ndarray) -> np.ndarray:
     constraint. Only rows the batch touched move, preserving sparse
     update locality; relation rows stay free to carry offset magnitude.
     Rows of norm 0, which hold only +-0.0, are left as they are, bits and
-    all. ``adam_step`` passes a view of one row chunk's gathered entity
-    rows, all of them finite, from whichever thread runs that chunk, and
-    stores them once every chunk has passed, so this reads and writes only
-    ``block``.
+    all. A row whose squared norm overflows raises ``NumericError``, since
+    it would project to zeros. ``adam_step`` passes a view of one row
+    chunk's gathered entity rows, all of them finite, from whichever thread
+    runs that chunk, and stores them once every chunk has passed, so this
+    reads and writes only ``block``, and a raise stores nothing of the table.
     """
     norms = np.square(block).sum(1, keepdims=True)
+    if not math.isfinite(norms.max()):
+        raise NumericError("an updated entity row's norm overflows")
     np.sqrt(norms, out=norms)
     return np.divide(block, norms, out=block, where=norms > 0.0)
 

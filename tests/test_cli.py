@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from conftest import make_graph
-from kgedenoise import models
 from kgedenoise.cli import run
 from kgedenoise.config import TrainConfig, format_config, parse_config, write_config
 from kgedenoise.errors import DataError
@@ -160,27 +159,14 @@ def test_missing_checkpoint_exits_two(data_dir, tmp_path, capsys, command, args)
     assert "Traceback" not in err and sorted(tmp_path.iterdir()) == [data_dir]
 
 
-@pytest.mark.parametrize("count", ["0", "-1"])
-def test_threads_below_one_is_a_usage_error(data_dir, tmp_path, capsys, count):
-    code = run(["--threads", count, "inject-noise", "--rate", "0.25", "--in", str(data_dir),
-                "--out", str(tmp_path / "noisy")])
-    assert code == 1 and "--threads: thread count must be >= 1" in capsys.readouterr().err
-    assert not (tmp_path / "noisy").exists()
-
-
-def test_threads_above_usable_cpus_is_clamped(data_dir, tmp_path, monkeypatch):
-    # No pool is started: only the cap is checked.
-    monkeypatch.setattr(models, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(models, "_max_threads", None)
-    monkeypatch.setattr(models, "_helpers", None)
-    monkeypatch.setattr(models, "_pool", None)
-    code = run(["--threads", "64", "inject-noise", "--rate", "0.25", "--in", str(data_dir),
-                "--out", str(tmp_path / "noisy")])
-    assert code == 0 and models._max_threads == 64 and models._step_threads() == 2
-    assert models._pool is None
-    run(["--threads", "1", "inject-noise", "--rate", "0.25", "--in", str(data_dir),
-         "--out", str(tmp_path / "noisy")])
-    assert models._step_threads() == 1
+def test_removed_threads_flag_is_a_usage_error(data_dir, tmp_path, capsys):
+    # The CPU affinity mask (taskset -c ...) is the only cap on the chunk pool.
+    out = tmp_path / "noisy"
+    code = run(["--threads", "2", "inject-noise", "--rate", "0.25", "--in", str(data_dir),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 1 and "usage error:" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_train_strl_writes_policy_and_mask(data_dir, tmp_path):
@@ -457,27 +443,78 @@ def test_cluster_checkpoint_of_another_relation_count_exits_two(data_dir, tmp_pa
     assert "Traceback" not in err and not out.exists()
 
 
-def test_diverging_pretraining_exits_three(tmp_path, capsys):
+@pytest.fixture
+def tiny_dir(tmp_path):
+    """The synthetic-tiny preset's clean splits, seed 7."""
     preset = PRESETS["synthetic-tiny"]
     clean = generate_shift_graph(
         grid_x=preset.grid_x, grid_y=preset.grid_y, n_relations=preset.n_relations,
         train_per_relation=preset.train_per_relation,
         valid_per_relation=preset.valid_per_relation,
         test_per_relation=preset.test_per_relation, seed=seed_for(7, "synthgraph"))
-    data = tmp_path / "data"
+    data = tmp_path / "tiny"
     data.mkdir()
     for split in SPLITS:
         write_triples(data / f"{split}.txt", clean, getattr(clean, split))
+    return data
+
+
+def test_diverging_pretraining_exits_three(tiny_dir, tmp_path, capsys):
     config = config_file(tmp_path, model="distmult", dim=8, batch_size=16, pretrain_epochs=5,
                          learning_rate=1e300)
     out = tmp_path / "out"
-    code = run(["train", "--data", str(data), "--mode", "plain", "--config", str(config),
+    code = run(["train", "--data", str(tiny_dir), "--mode", "plain", "--config", str(config),
                 "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
     assert err.splitlines()[-1].startswith(
         "numeric failure: pre-training diverged at epoch 0: ")
     assert "Traceback" not in err and not (out / "model.ckpt").exists()
+
+
+@pytest.mark.parametrize("mode", ["plain", "xscore"])
+def test_overflowing_transe_projection_exits_three(data_dir, tmp_path, capsys, mode):
+    # A step of 1e300 leaves finite entries whose squared norm overflows, so
+    # projecting the rows would zero them.
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(data_dir), "--mode", mode,
+                "--config", str(config_file(tmp_path, learning_rate=1e300)), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines()[-1].startswith(
+        "numeric failure: pre-training diverged at epoch 0: ")
+    assert "Traceback" not in err and not (out / "model.ckpt").exists()
+
+
+def test_diverging_shared_weight_exits_three(tiny_dir, tmp_path, capsys):
+    # Without the score-mimic warm start the relation weights start at zero,
+    # so a cluster's shared weight overflows before any relation's does.
+    config = config_file(tmp_path, agent_learning_rate=1e300, agent_mimic_steps=0,
+                         agent_warmup_episodes=1, episodes=1)
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(tiny_dir), "--mode", "mtrl", "--config", str(config),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines()[-1] == "numeric failure: non-finite shared weight for cluster 0"
+    assert "Traceback" not in err and not (out / "model.ckpt").exists()
+
+
+def test_train_flags_override_the_config_file(data_dir, tmp_path):
+    out = tmp_path / "run"
+    code = run(["train", "--data", str(data_dir), "--mode", "plain", "--model", "distmult",
+                "--seed", "9", "--config", str(config_file(tmp_path)), "--out", str(out)])
+    assert code == 0
+    used = parse_config(out / "config_used.cfg")
+    assert used == parse_config(config_file(tmp_path)).replace(model="distmult", seed=9)
+
+
+def test_inject_noise_rate_above_one_exits_two(data_dir, tmp_path, capsys):
+    out = tmp_path / "noisy"
+    code = run(["inject-noise", "--rate", "1.5", "--in", str(data_dir), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 2 and "data error: noise rate must lie in [0, 1]" in err
+    assert "Traceback" not in err and not out.exists()
 
 
 def test_config_round_trip(tmp_path):

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from conftest import make_graph, small_graphs
 from kgedenoise.errors import DataError
-from kgedenoise.graph import load_graph, write_triples
+from kgedenoise.graph import KnowledgeGraph, Vocabulary, load_graph, write_triples
 
 
 def write_split(path, lines):
@@ -218,6 +218,20 @@ def test_splits_are_read_only(tiny_graph):
         tiny_graph.train[0, 0] = 99
     with pytest.raises(ValueError):
         tiny_graph.train_labels[0] = True
+
+
+@pytest.mark.parametrize("valid, labels, message", [
+    ([], [True, False], "noise label array length does not match train split"),
+    ([(0, 0, 2)], None, "valid split references an out-of-range entity id"),
+    ([(-1, 0, 1)], None, "valid split references an out-of-range entity id"),
+    ([(0, 1, 1)], None, "valid split references an out-of-range relation id"),
+], ids=["label-length", "entity-past-end", "negative-entity", "relation-past-end"])
+def test_graph_refuses_labels_or_ids_that_do_not_fit(valid, labels, message):
+    # Two entities, one relation and one train triple.
+    with pytest.raises(DataError, match=message):
+        KnowledgeGraph(Vocabulary(["a", "b"]), Vocabulary(["r"]),
+                       np.array([[0, 0, 1]]), np.array(valid, dtype=np.int64).reshape(-1, 3),
+                       np.empty((0, 3), dtype=np.int64), train_labels=labels)
 
 
 def test_write_triples_round_trip(tmp_path, tiny_graph):
