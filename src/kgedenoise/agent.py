@@ -39,7 +39,7 @@ from .clustering import RelationClusters
 from .errors import DataError, NumericError
 from .graph import open_input
 from .models import (EmbeddingStore, ModelKind, read_matrices, relation_features,
-                     score_batch)
+                     score_batch, write_matrices)
 
 MODES = ("strl", "mtrl")
 
@@ -246,8 +246,7 @@ def save_policy(path, params: PolicyParams) -> None:
                           params.v.shape[0], params.state_dim)
     with atomic_write(path, binary=True) as handle:
         handle.write(header)
-        handle.write(np.ascontiguousarray(params.u, dtype="<f8").tobytes())
-        handle.write(np.ascontiguousarray(params.v, dtype="<f8").tobytes())
+        write_matrices(handle, path, (("u", params.u), ("v", params.v)))
 
 
 def load_policy(path) -> PolicyParams:

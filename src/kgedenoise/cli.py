@@ -41,18 +41,9 @@ def non_negative_int(text: str) -> int:
     return value
 
 
-def _create_dir(directory) -> None:
-    """``os.makedirs(directory, exist_ok=True)``; a failure is a data error."""
-    try:
-        os.makedirs(directory, exist_ok=True)
-    except OSError as exc:
-        raise DataError(f"cannot create directory {directory}: {exc.strerror}") from None
-
-
 def cmd_inject_noise(args) -> int:
     graph = load_graph_dir(args.in_dir)
     noisy = noise.inject_noise(graph, args.rate, args.seed)
-    _create_dir(args.out_dir)
     for split in SPLITS:
         write_triples(os.path.join(args.out_dir, f"{split}.txt"), noisy, getattr(noisy, split))
     write_flags(os.path.join(args.out_dir, "noise_labels.tsv"), noisy.train_labels)
@@ -68,7 +59,6 @@ def cmd_cluster(args) -> int:
         raise DataError("checkpoint relation count does not match the data directory")
     features = relation_features(store, np.arange(store.n_relations))
     clusters = clustering.kmeans(features, args.k, args.seed)
-    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     clustering.save_clusters(args.out, clusters, graph.relation_vocab)
     print(f"wrote {args.k} clusters for {graph.n_relations} relations to {args.out}")
     return 0
@@ -92,10 +82,9 @@ def cmd_train(args) -> int:
         raise UsageError(f"--clusters needs mode mtrl, got {config.mode}")
     graph = load_graph_dir(args.data)
     kind = trainer.model_kind(config)
-    _create_dir(args.out)
     write_config(os.path.join(args.out, "config_used.cfg"), config)
 
-    mask = np.ones(len(graph.train), dtype=bool)
+    mask, policy = np.ones(len(graph.train), dtype=bool), None
     if config.mode == "plain":
         result = trainer.pretrain_kge(graph, kind, config)
         store, losses = result.store, result.losses
@@ -107,10 +96,13 @@ def cmd_train(args) -> int:
         if args.clusters:
             clusters = clustering.load_clusters(args.clusters, graph.relation_vocab)
         result = trainer.joint_train(graph, kind, config.mode, config, clusters=clusters)
-        store, mask, losses = result.store, result.mask, result.pretrain_losses
-        agent_mod.save_policy(os.path.join(args.out, "policy.ckpt"), result.params)
+        store, mask, losses, policy = (result.store, result.mask, result.pretrain_losses,
+                                       result.params)
 
+    # The store first: a checkpoint it refuses to write leaves none behind.
     save_store(os.path.join(args.out, "model.ckpt"), store)
+    if policy is not None:
+        agent_mod.save_policy(os.path.join(args.out, "policy.ckpt"), policy)
     write_flags(os.path.join(args.out, "selection_mask.tsv"), mask)
     trainer.write_training_curve(os.path.join(args.out, "training_curve.csv"), losses)
     print(f"trained {config.model} ({config.mode}); kept {int(mask.sum())}/{len(mask)} "
@@ -158,7 +150,6 @@ def cmd_evaluate(args) -> int:
             report["noise_f1_score_sweep"] = noise_detection_f1(
                 score_batch(kind, store, graph.train), labels)
 
-    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     experiments.write_report(report, args.out)
     print(f"mrr={lp.mrr:.4f} hits@10={lp.hits[10]:.4f} "
           f"accuracy={cls.accuracy:.4f}; report at {args.out}")
@@ -167,7 +158,6 @@ def cmd_evaluate(args) -> int:
 
 def cmd_experiment(args) -> int:
     report = experiments.run_synthetic_experiment(args.preset, args.seed)
-    _create_dir(os.path.dirname(os.path.abspath(args.out)))
     experiments.write_report(report, args.out)
     mode = experiments.PRESETS[args.preset].mode
     agents = report["models"][mode]

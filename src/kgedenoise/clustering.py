@@ -113,7 +113,7 @@ def kmeans(matrix: np.ndarray, k: int, seed: int) -> RelationClusters:
 def save_clusters(path, clusters: RelationClusters, relation_vocab: Vocabulary) -> None:
     with atomic_write(path) as handle:
         for r, c in enumerate(clusters.assignment):
-            handle.write(f"{relation_vocab.name_of(r)}\t{int(c)}\n")
+            handle.write(f"{relation_vocab.names[r]}\t{int(c)}\n")
 
 
 def load_clusters(path, relation_vocab: Vocabulary) -> RelationClusters:
@@ -138,7 +138,7 @@ def load_clusters(path, relation_vocab: Vocabulary) -> RelationClusters:
                             f"[0, {len(relation_vocab)}), got {fields[1]!r}") from None
         assignment[relation] = cluster
     if (assignment < 0).any():
-        missing = relation_vocab.name_of(int(np.flatnonzero(assignment < 0)[0]))
+        missing = relation_vocab.names[np.flatnonzero(assignment < 0)[0]]
         raise DataError(f"{path}: no cluster assignment for relation {missing!r}")
     k = int(assignment.max()) + 1
     dim = 0

@@ -32,18 +32,23 @@ from .models import EmbeddingStore, ModelKind, score_all_heads, score_all_tails,
 HITS_AT = (1, 3, 10)
 
 
+def _f1(tp, fp, fn) -> np.ndarray:
+    """Elementwise F1 of true-positive, false-positive and false-negative
+    counts, in float64; 0 where tp is 0."""
+    tp = np.asarray(tp, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):  # where tp is 0
+        precision = tp / (tp + fp)
+        recall = tp / (tp + fn)
+        return np.where(tp == 0.0, 0.0, 2.0 * precision * recall / (precision + recall))
+
+
 def f1_score(predicted_noise: np.ndarray, labels: np.ndarray) -> float:
     """F1 of a hard noise prediction; 0 when precision+recall is 0."""
     predicted_noise = np.asarray(predicted_noise, dtype=bool)
     labels = np.asarray(labels, dtype=bool)
-    tp = float(np.count_nonzero(predicted_noise & labels))
-    fp = float(np.count_nonzero(predicted_noise & ~labels))
-    fn = float(np.count_nonzero(~predicted_noise & labels))
-    if tp == 0.0:
-        return 0.0
-    precision = tp / (tp + fp)
-    recall = tp / (tp + fn)
-    return 2.0 * precision * recall / (precision + recall)
+    return float(_f1(np.count_nonzero(predicted_noise & labels),
+                     np.count_nonzero(predicted_noise & ~labels),
+                     np.count_nonzero(~predicted_noise & labels)))
 
 
 def max_f1_sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
@@ -55,9 +60,8 @@ def max_f1_sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     or (0.0, -inf) when no threshold reaches an F1 above 0.
 
     One sort finds the thresholds; cumulative counts per threshold give
-    its true and false positives, and ``f1_score``'s float formula is
-    applied to them elementwise, so each F1 is bitwise the one
-    ``f1_score`` returns for that threshold.
+    its true and false positives, and ``_f1`` turns them into F1 values,
+    the formula ``f1_score`` applies to a single prediction.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
@@ -68,12 +72,7 @@ def max_f1_sweep(scores: np.ndarray, labels: np.ndarray) -> tuple[float, float]:
     slot = np.searchsorted(thresholds, scores)  # NaN scores land past the end
     predicted = np.cumsum(np.bincount(slot, minlength=len(thresholds))[:len(thresholds)])
     tp = np.cumsum(np.bincount(slot[labels], minlength=len(thresholds))[:len(thresholds)])
-    tp, fp = tp.astype(np.float64), (predicted - tp).astype(np.float64)
-    fn = float(np.count_nonzero(labels)) - tp
-    with np.errstate(divide="ignore", invalid="ignore"):  # where tp is 0
-        precision = tp / (tp + fp)
-        recall = tp / (tp + fn)
-        f1 = np.where(tp == 0.0, 0.0, 2.0 * precision * recall / (precision + recall))
+    f1 = _f1(tp, predicted - tp, np.count_nonzero(labels) - tp)
     best = int(np.argmax(f1))
     if not f1[best] > 0.0:
         return 0.0, -np.inf

@@ -78,38 +78,20 @@ class Vocabulary:
         except KeyError:
             raise DataError(f"unknown vocabulary entry: {name!r}") from None
 
-    def name_of(self, idx: int) -> str:
-        return self.names[idx]
-
     def __len__(self) -> int:
         return len(self.names)
 
 
 @dataclass
 class LoadReport:
-    """Counts gathered while reading the three split files."""
+    """What loading dropped or flagged, which the graph itself cannot tell:
+    the duplicate lines of each split, and the vocabulary entries first
+    seen outside train. A split's kept count is its length, and its line
+    count is kept plus duplicates."""
 
-    raw_lines: dict[str, int] = field(default_factory=dict)
-    kept: dict[str, int] = field(default_factory=dict)
     duplicates: dict[str, int] = field(default_factory=dict)
     eval_only_entities: int = 0
     eval_only_relations: int = 0
-
-    def log(self) -> None:
-        for split in SPLITS:
-            logger.info(
-                "split=%s lines=%d kept=%d duplicates=%d",
-                split,
-                self.raw_lines.get(split, 0),
-                self.kept.get(split, 0),
-                self.duplicates.get(split, 0),
-            )
-        if self.eval_only_entities or self.eval_only_relations:
-            logger.warning(
-                "vocabulary entries first seen outside train: entities=%d relations=%d",
-                self.eval_only_entities,
-                self.eval_only_relations,
-            )
 
 
 def relation_groups(relations: np.ndarray, n_relations: int) -> list[np.ndarray]:
@@ -293,7 +275,7 @@ def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Voca
                 report: LoadReport):
     rows: list[tuple[int, int, int]] = []
     seen: set[tuple[int, int, int]] = set()
-    raw = dups = 0
+    dups = 0
     for lineno, line in text_lines(path):
         if line.endswith("\n"):
             line = line[:-1]
@@ -304,7 +286,6 @@ def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Voca
             raise DataError(
                 f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
             )
-        raw += 1
         head_name, rel_name, tail_name = fields
         triple = (entity_vocab.add(head_name), relation_vocab.add(rel_name),
                   entity_vocab.add(tail_name))
@@ -313,9 +294,9 @@ def _read_split(path, split: str, entity_vocab: Vocabulary, relation_vocab: Voca
             continue
         seen.add(triple)
         rows.append(triple)
-    report.raw_lines[split] = raw
-    report.kept[split] = len(rows)
     report.duplicates[split] = dups
+    logger.info("split=%s lines=%d kept=%d duplicates=%d",
+                split, len(rows) + dups, len(rows), dups)
     return rows
 
 
@@ -338,8 +319,9 @@ def load_graph(train_path, valid_path, test_path) -> KnowledgeGraph:
     # Ids follow first appearance, train first: every id past train's is eval-only.
     report.eval_only_entities = len(entity_vocab) - train_entities
     report.eval_only_relations = len(relation_vocab) - train_relations
-
-    report.log()
+    if report.eval_only_entities or report.eval_only_relations:
+        logger.warning("vocabulary entries first seen outside train: entities=%d relations=%d",
+                       report.eval_only_entities, report.eval_only_relations)
     return KnowledgeGraph(
         entity_vocab,
         relation_vocab,
@@ -357,10 +339,10 @@ def load_graph_dir(data_dir) -> KnowledgeGraph:
 
 def write_triples(path, graph: KnowledgeGraph, triples: np.ndarray) -> None:
     """Write triples as a name-based TSV file (one fact per line)."""
-    ent, rel = graph.entity_vocab, graph.relation_vocab
+    ent, rel = graph.entity_vocab.names, graph.relation_vocab.names
     with atomic_write(path) as handle:
         for h, r, t in triples:
-            handle.write(f"{ent.name_of(h)}\t{rel.name_of(r)}\t{ent.name_of(t)}\n")
+            handle.write(f"{ent[h]}\t{rel[r]}\t{ent[t]}\n")
 
 
 def write_flags(path, flags: np.ndarray) -> None:

@@ -1044,9 +1044,22 @@ def save_store(path, store: EmbeddingStore) -> None:
                           store.step, store.step)
     with atomic_write(path, binary=True) as handle:
         handle.write(header)
-        for arr in (store.entities, store.relations, store.m_ent, store.v_ent,
-                    store.m_rel, store.v_rel):
-            handle.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        write_matrices(handle, path, ((name, getattr(store, name)) for name in
+                                      ("entities", "relations", "m_ent", "v_ent", "m_rel", "v_rel")))
+
+
+def write_matrices(handle, path, named) -> None:
+    """Write each ``(name, matrix)`` of ``named`` as raw <f8 bytes.
+
+    A matrix is converted, then checked, then written: one that holds a
+    non-finite value raises ``NumericError``, so no command writes a
+    checkpoint that ``read_matrices`` refuses.
+    """
+    for name, matrix in named:
+        data = np.ascontiguousarray(matrix, dtype="<f8")
+        if not np.isfinite(data).all():
+            raise NumericError(f"cannot write {path}: {name} holds a non-finite value")
+        handle.write(data.tobytes())
 
 
 def read_matrices(handle, path, shapes) -> list[np.ndarray]:

@@ -6,20 +6,31 @@ derivation is a SHA-256 hash of the master seed and the label path, so it
 is stable across processes, platforms and package versions (Python's
 built-in ``hash`` is salted per process and must not be used here).
 
-Label conventions used by the trainer:
+Label paths in use; an indented path is taken under the seed that the
+path above it derives. Under a trainer config's ``seed``:
 
-    ("init",)                     embedding initialization
-    ("pretrain",)                 embedding pre-training loop
+    ("pretrain",)                 embedding pre-training
+        ("init",)                 embedding initialization
+        ("epoch", e)              batch order and negatives, epoch e
     ("clusters",)                 k-means over relation embeddings
-    ("warmup-order", e)           relation visit order, warm-up episode e
-    ("warmup-cap", e, i)          relation-cap subsample, visit i
-    ("warmup-trajectory", e, i)   warm-up trajectory sampling
+    ("agents",)                   agent warm-up
+        ("warmup-order", e)       relation visit order, warm-up episode e
+        ("warmup-cap", e, i)      relation-cap subsample, visit i
+        ("warmup-trajectory", e, i)  warm-up trajectory sampling
     ("episode-order", m)          relation visit order, joint episode m
     ("cap", m, i)                 relation-cap subsample, joint episode m
     ("trajectory", m, i)          joint trajectory sampling
     ("joint-kge", m, i, e)        embedding epoch e during visit i
-    ("xscore-pretrain",) / ("xscore-retrain",)
-    ("noise",) / ("class-negatives",)  noise injection / labeled eval sets
+    ("xscore-pretrain",) / ("xscore-retrain",)  the score filter's two
+                                  pre-trainings, with "init" and "epoch"
+                                  under each
+
+Under an experiment's seed (the file experiment's config seed):
+
+    ("synthgraph",)               synthetic graph
+    ("noise",) / ("class-negatives",)  noise injection / labeled eval sets;
+                                  ``evaluate`` draws the latter from --seed
+    ("plain",) / ("joint",) / ("xscore",)  the config seed of each model
 """
 
 import hashlib

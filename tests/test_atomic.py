@@ -19,10 +19,10 @@ def test_atomic_write_replaces_the_file(tmp_path):
 
 @pytest.mark.parametrize("binary", [False, True])
 def test_unwritable_target_is_a_data_error(tmp_path, binary):
-    # The target's directory is a regular file, so no temporary file can be made.
+    # The target's directory is a regular file, so it cannot be made.
     (tmp_path / "file").write_text("")
     path = tmp_path / "file" / "out.txt"
-    with pytest.raises(DataError, match=f"cannot write {path}: Not a directory"):
+    with pytest.raises(DataError, match=f"cannot create directory {tmp_path / 'file'}: "):
         with atomic_write(path, binary=binary):
             pass
     assert [p.name for p in tmp_path.iterdir()] == ["file"]

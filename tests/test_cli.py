@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -134,10 +135,14 @@ def test_evaluate_checkpoint_of_another_graph_exits_two(data_dir, tmp_path, caps
 
 def test_evaluate_non_finite_checkpoint_exits_two(data_dir, tmp_path, capsys):
     # NaN entity rows used to exit 0 with "mrr": Infinity, which is not JSON.
+    # save_store refuses them, so they are written over a saved checkpoint.
     store = init_embeddings(8, 2, 4, TransE(), seed=0)
-    store.entities[:] = np.nan
     ckpt = tmp_path / "nan.ckpt"
     save_store(ckpt, store)
+    raw = bytearray(ckpt.read_bytes())
+    start = struct.calcsize("<4sIBBdIQQQQQ")  # the entity rows follow the header
+    raw[start:start + store.entities.nbytes] = np.full(store.entities.size, np.nan).tobytes()
+    ckpt.write_bytes(raw)
     code = run(["evaluate", "--checkpoint", str(ckpt), "--graph", str(data_dir),
                 "--out", str(tmp_path / "report.json")])
     err = capsys.readouterr().err
@@ -313,17 +318,28 @@ def plain_checkpoint(tmp_path):
     return ckpt
 
 
-@pytest.mark.parametrize("command, args", [
-    ("evaluate", ["--graph", "{data}"]),
-    ("cluster", ["--data", "{data}", "--k", "2"]),
-], ids=["evaluate", "cluster"])
+@pytest.mark.parametrize("command, args, written", [
+    ("evaluate", ["--checkpoint", "{ckpt}", "--graph", "{data}"], None),
+    ("cluster", ["--checkpoint", "{ckpt}", "--data", "{data}", "--k", "2"], None),
+    ("train", ["--data", "{data}", "--mode", "plain", "--config", "{config}"],
+     ["config_used.cfg", "model.ckpt", "selection_mask.tsv", "training_curve.csv"]),
+    ("inject-noise", ["--rate", "0.25", "--in", "{data}"],
+     ["noise_labels.tsv", "test.txt", "train.txt", "valid.txt"]),
+    ("experiment", ["--preset", "synthetic-tiny"], None),
+], ids=["evaluate", "cluster", "train", "inject-noise", "experiment"])
 def test_output_into_a_missing_directory_is_created(data_dir, tmp_path, plain_checkpoint,
-                                                    command, args):
+                                                    command, args, written):
+    # ``written`` lists the files of an --out that names a directory.
     out = tmp_path / "nodir" / "sub" / "output"
-    code = run([command, "--checkpoint", str(plain_checkpoint),
-                *(arg.format(data=data_dir) for arg in args), "--out", str(out)])
-    assert code == 0 and out.read_text()
+    code = run([command, *(arg.format(data=data_dir, ckpt=plain_checkpoint,
+                                      config=config_file(tmp_path)) for arg in args),
+                "--out", str(out)])
+    assert code == 0
     assert [p.name for p in out.parent.iterdir()] == ["output"]
+    if written is None:
+        assert out.read_text()
+    else:
+        assert sorted(p.name for p in out.iterdir()) == written
 
 
 @pytest.mark.parametrize("command, args", [
@@ -498,6 +514,52 @@ def test_diverging_shared_weight_exits_three(tiny_dir, tmp_path, capsys):
     assert code == 3
     assert err.splitlines()[-1] == "numeric failure: non-finite shared weight for cluster 0"
     assert "Traceback" not in err and not (out / "model.ckpt").exists()
+
+
+def test_non_finite_adam_moments_exit_three(tiny_dir, tmp_path, capsys):
+    # The loss and the parameters stay finite, but DistMult's L2 term makes
+    # every squared gradient, and so Adam's second moments, overflow.
+    config = config_file(tmp_path, model="distmult", dim=8, batch_size=16, pretrain_epochs=3,
+                         l2_coeff=1e300)
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(tiny_dir), "--mode", "plain", "--config", str(config),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.splitlines()[-1] == (f"numeric failure: cannot write {out / 'model.ckpt'}: "
+                                    "v_ent holds a non-finite value")
+    assert "Traceback" not in err and not (out / "model.ckpt").exists()
+
+
+SETTINGS = ["margin", "eta", "l2_coeff", "learning_rate", "joint_learning_rate",
+            "agent_learning_rate", "agent_mimic_sharpness", "alpha", "lambda1", "lambda2"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflows under test
+@pytest.mark.parametrize("setting", SETTINGS)
+@pytest.mark.parametrize("mode", ["plain", "strl", "mtrl", "xscore"])
+@pytest.mark.parametrize("model", ["transe", "distmult", "rotate"])
+def test_train_writes_only_what_the_package_reads(tiny_dir, tmp_path, capsys, model, mode,
+                                                 setting):
+    # Each float setting pushed to 1e300 (with config_file's one warm-up and
+    # one joint episode and k = 2): train either refuses (exit 3) or writes a
+    # checkpoint that evaluate and cluster accept.
+    config = config_file(tmp_path, model=model, dim=8, batch_size=16, pretrain_epochs=3,
+                         **{setting: 1e300})
+    out = tmp_path / "out"
+    code = run(["train", "--data", str(tiny_dir), "--mode", mode, "--config", str(config),
+                "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code in (0, 3) and "Traceback" not in err
+    if code == 3:
+        assert err.splitlines()[-1].startswith("numeric failure: ")
+        assert not (out / "model.ckpt").exists()
+    else:
+        ckpt = str(out / "model.ckpt")
+        assert run(["evaluate", "--checkpoint", ckpt, "--graph", str(tiny_dir),
+                    "--out", str(tmp_path / "report.json")]) == 0
+        assert run(["cluster", "--checkpoint", ckpt, "--data", str(tiny_dir), "--k", "2",
+                    "--out", str(tmp_path / "clusters.tsv")]) == 0
 
 
 def test_train_flags_override_the_config_file(data_dir, tmp_path):

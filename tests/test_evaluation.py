@@ -47,12 +47,22 @@ def test_sweep_matches_exhaustive_oracle(data):
 
 
 def max_f1_sweep_loop(scores, labels):
-    """The sweep as it was first written: ``f1_score`` at every distinct score."""
+    """The sweep as it was first written: at every distinct score, the F1
+    of predicting the scores at or below it as noise, in scalar floats.
+    It keeps its own copy of the formula that ``max_f1_sweep`` and
+    ``f1_score`` share."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     best, best_threshold = 0.0, -np.inf
     for threshold in np.unique(scores):
-        f1 = f1_score(scores <= threshold, labels)
+        predicted = scores <= threshold
+        tp = float(np.count_nonzero(predicted & labels))
+        fp = float(np.count_nonzero(predicted & ~labels))
+        fn = float(np.count_nonzero(~predicted & labels))
+        if tp == 0.0:
+            continue
+        precision, recall = tp / (tp + fp), tp / (tp + fn)
+        f1 = 2.0 * precision * recall / (precision + recall)
         if f1 > best:
             best, best_threshold = f1, float(threshold)
     return best, best_threshold
